@@ -39,7 +39,4 @@ mod manager;
 mod metrics;
 
 pub use crate::manager::{interleaved_order, BuildBddError, Manager, NodeId, MAX_COUNT_VARS};
-pub use crate::metrics::{
-    exact_error_rate, exact_error_rate_with, exact_mae, exact_mae_with, two_operand_order,
-    BddErrorStats, BddRateStats,
-};
+pub use crate::metrics::{exact_average_with, exact_word_max, BddAverage};

@@ -1,10 +1,11 @@
-//! The ROBDD manager: unique table, ITE with memoization, model counting
-//! and AIG import under a node budget.
+//! The ROBDD manager: complement edges, a unique table, ITE with
+//! memoization, model counting and AIG import under a node budget.
 
 use axmc_aig::{Aig, Node};
 use axmc_sat::{Interrupt, ResourceCtl};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Model counting over more than this many variables can overflow the
 /// `u128` accumulator (a count over `n` variables reaches `2^n`), so the
@@ -17,20 +18,81 @@ pub const MAX_COUNT_VARS: usize = 127;
 /// set, so they are amortized over a block of cheap hash-table ops.
 const CTL_POLL_INTERVAL: u64 = 1024;
 
-/// A node handle in a [`Manager`].
+/// Node indices share a `u32` with the complement bit, so a manager
+/// holds at most `2^31` nodes whatever its configured limit.
+const MAX_NODES: usize = 1 << 31;
+
+/// Sentinel of the counting memo: no count reaches it (counts stay
+/// below `2^127`).
+const UNCOUNTED: u128 = u128::MAX;
+
+/// The odd multiplier of [`MulHasher`].
+const HASH_MULTIPLIER: u64 = 0xf135_7aea_2e62_a9c5;
+
+/// A multiplicative hasher for the manager's tables. Their keys are
+/// node handles the manager allocates itself, so SipHash's resistance to
+/// adversarial keys buys nothing; one add-multiply per word does.
+#[derive(Clone, Copy, Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(HASH_MULTIPLIER);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best-mixed bits at the top; the table
+        // indexes buckets with the low bits.
+        self.0.rotate_left(26)
+    }
+}
+
+type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
+
+/// A node handle in a [`Manager`]: an edge to a node, possibly
+/// complemented.
 ///
-/// `NodeId::FALSE` and `NodeId::TRUE` are the terminals.
+/// `NodeId::FALSE` and `NodeId::TRUE` are the terminals (the same
+/// terminal node, reached by a complemented and a regular edge).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct NodeId(u32);
 
 impl NodeId {
-    /// The constant-false terminal.
-    pub const FALSE: NodeId = NodeId(0);
     /// The constant-true terminal.
-    pub const TRUE: NodeId = NodeId(1);
+    pub const TRUE: NodeId = NodeId(0);
+    /// The constant-false terminal.
+    pub const FALSE: NodeId = NodeId(1);
 
+    /// The edge to node `index`, regular.
+    fn regular_to(index: usize) -> NodeId {
+        NodeId((index as u32) << 1)
+    }
+
+    /// Index of the node this edge points to.
     fn index(self) -> usize {
-        self.0 as usize
+        (self.0 >> 1) as usize
+    }
+
+    fn is_complemented(self) -> bool {
+        self.0 & 1 == 1
+    }
+
+    fn complement(self) -> NodeId {
+        NodeId(self.0 ^ 1)
+    }
+
+    fn complement_if(self, flip: bool) -> NodeId {
+        NodeId(self.0 ^ u32::from(flip))
     }
 
     /// Returns `true` for the two terminal nodes.
@@ -39,6 +101,9 @@ impl NodeId {
     }
 }
 
+/// One decision node. The high edge is always regular: a function whose
+/// high cofactor would be complemented is stored negated and reached by
+/// a complemented edge, which keeps `f` and `!f` on one node.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 struct BddNode {
     var: u32,
@@ -89,8 +154,11 @@ impl fmt::Display for BuildBddError {
 
 impl std::error::Error for BuildBddError {}
 
-/// An ROBDD manager over a fixed variable count with the natural variable
-/// order (variable 0 at the top).
+/// An ROBDD manager with complement edges over a fixed variable count
+/// with the natural variable order (variable 0 at the top).
+///
+/// Negation flips a bit of the [`NodeId`], so it is O(1) and creates no
+/// node.
 ///
 /// # Examples
 ///
@@ -110,9 +178,12 @@ impl std::error::Error for BuildBddError {}
 #[derive(Clone, Debug)]
 pub struct Manager {
     num_vars: usize,
+    /// Slot 0 is the terminal (`var == u32::MAX`).
     nodes: Vec<BddNode>,
-    unique: HashMap<BddNode, NodeId>,
-    ite_cache: HashMap<(NodeId, NodeId, NodeId), NodeId>,
+    unique: FastMap<BddNode, NodeId>,
+    /// ITE computed cache over normalized triples: first and second
+    /// arguments regular (see [`Manager::ite`]).
+    ite_cache: FastMap<(NodeId, NodeId, NodeId), NodeId>,
     node_limit: usize,
     /// `level_of[input] = BDD level`; identity by default.
     level_of: Vec<u32>,
@@ -140,34 +211,33 @@ impl Manager {
     pub fn new(num_vars: usize) -> Self {
         let terminal = BddNode {
             var: u32::MAX,
-            low: NodeId::FALSE,
+            low: NodeId::TRUE,
             high: NodeId::TRUE,
         };
         Manager {
             num_vars,
-            // Slots 0/1 are placeholders for the terminals.
-            nodes: vec![terminal, terminal],
-            unique: HashMap::new(),
-            ite_cache: HashMap::new(),
-            node_limit: usize::MAX,
+            nodes: vec![terminal],
+            unique: FastMap::default(),
+            ite_cache: FastMap::default(),
+            node_limit: MAX_NODES,
             level_of: (0..num_vars as u32).collect(),
             input_at: (0..num_vars as u32).collect(),
             ctl: ResourceCtl::unlimited(),
             ops: 0,
             cache_hits: 0,
             cache_misses: 0,
-            flushed_nodes: 2,
+            flushed_nodes: 1,
         }
     }
 
     /// Sets a node budget; operations exceeding it return
     /// [`BuildBddError::SizeLimit`] from the fallible entry points.
     ///
-    /// The limit is clamped to hold at least the two terminals and one
-    /// node per variable, so single-variable functions always build and
+    /// The limit is clamped to hold at least the terminal and one node
+    /// per variable, so single-variable functions always build and
     /// degradation happens on real work, never in [`Manager::var`].
     pub fn with_node_limit(mut self, limit: usize) -> Self {
-        self.node_limit = limit.max(2 + self.num_vars);
+        self.node_limit = limit.max(1 + self.num_vars).min(MAX_NODES);
         self
     }
 
@@ -207,7 +277,7 @@ impl Manager {
     /// already exist.
     pub fn with_order(mut self, order: &[usize]) -> Self {
         assert_eq!(order.len(), self.num_vars, "order length");
-        assert_eq!(self.nodes.len(), 2, "order must be set before building");
+        assert_eq!(self.nodes.len(), 1, "order must be set before building");
         let mut seen = vec![false; self.num_vars];
         for &l in order {
             assert!(l < self.num_vars && !seen[l], "order must be a permutation");
@@ -226,7 +296,8 @@ impl Manager {
         self.num_vars
     }
 
-    /// Number of live nodes (including the two terminals).
+    /// Number of live nodes, including the terminal. Complement edges
+    /// let `f` and `!f` share one node, and `TRUE`/`FALSE` one terminal.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
@@ -264,31 +335,34 @@ impl Manager {
         axmc_obs::gauge("bdd.nodes.peak").set_max(self.nodes.len().min(i64::MAX as usize) as i64);
     }
 
+    /// Level of the node `id` points to (`u32::MAX` for the terminal).
     fn var_of(&self, id: NodeId) -> u32 {
-        if id.is_terminal() {
-            u32::MAX
-        } else {
-            self.nodes[id.index()].var
-        }
+        self.nodes[id.index()].var
     }
 
     fn make(&mut self, var: u32, low: NodeId, high: NodeId) -> Result<NodeId, BuildBddError> {
         if low == high {
             return Ok(low);
         }
-        let node = BddNode { var, low, high };
+        // Keep the high edge regular: store the negated node instead.
+        let flip = high.is_complemented();
+        let node = BddNode {
+            var,
+            low: low.complement_if(flip),
+            high: high.complement_if(flip),
+        };
         if let Some(&id) = self.unique.get(&node) {
-            return Ok(id);
+            return Ok(id.complement_if(flip));
         }
         if self.nodes.len() >= self.node_limit {
             return Err(BuildBddError::SizeLimit {
                 limit: self.node_limit,
             });
         }
-        let id = NodeId(self.nodes.len() as u32);
+        let id = NodeId::regular_to(self.nodes.len());
         self.nodes.push(node);
         self.unique.insert(node, id);
-        Ok(id)
+        Ok(id.complement_if(flip))
     }
 
     /// The function of a single variable (by input index; the configured
@@ -301,26 +375,37 @@ impl Manager {
         assert!(index < self.num_vars, "variable out of range");
         let level = self.level_of[index];
         self.make(level, NodeId::FALSE, NodeId::TRUE)
-            .expect("single-variable nodes cannot exceed any sane limit")
+            .expect("single-variable nodes fit the clamped node limit")
     }
 
     fn cofactors(&self, f: NodeId, var: u32) -> (NodeId, NodeId) {
-        if f.is_terminal() || self.nodes[f.index()].var != var {
+        let n = self.nodes[f.index()];
+        if n.var != var {
             (f, f)
         } else {
-            let n = self.nodes[f.index()];
-            (n.low, n.high)
+            let flip = f.is_complemented();
+            (n.low.complement_if(flip), n.high.complement_if(flip))
         }
     }
 
     /// If-then-else: the universal ROBDD operation.
+    ///
+    /// Before the computed-cache lookup the triple is normalized:
+    /// arguments equal to `f` or `!f` become constants, and `f` and `g`
+    /// are made regular — a complemented `f` swaps `g` and `h`, a
+    /// complemented `g` is pulled out as a complemented result.
     ///
     /// # Errors
     ///
     /// [`BuildBddError::SizeLimit`] under a node budget, or
     /// [`BuildBddError::Interrupted`] when an attached [`ResourceCtl`]
     /// fires.
-    pub fn ite(&mut self, f: NodeId, g: NodeId, h: NodeId) -> Result<NodeId, BuildBddError> {
+    pub fn ite(
+        &mut self,
+        mut f: NodeId,
+        mut g: NodeId,
+        mut h: NodeId,
+    ) -> Result<NodeId, BuildBddError> {
         self.poll_ctl()?;
         // Terminal cases.
         if f == NodeId::TRUE {
@@ -329,15 +414,38 @@ impl Manager {
         if f == NodeId::FALSE {
             return Ok(h);
         }
+        if g == f {
+            g = NodeId::TRUE;
+        } else if g == f.complement() {
+            g = NodeId::FALSE;
+        }
+        if h == f {
+            h = NodeId::FALSE;
+        } else if h == f.complement() {
+            h = NodeId::TRUE;
+        }
         if g == h {
             return Ok(g);
         }
         if g == NodeId::TRUE && h == NodeId::FALSE {
             return Ok(f);
         }
+        if g == NodeId::FALSE && h == NodeId::TRUE {
+            return Ok(f.complement());
+        }
+        // Regular f and g; a complemented g complements the result.
+        if f.is_complemented() {
+            f = f.complement();
+            std::mem::swap(&mut g, &mut h);
+        }
+        let flip = g.is_complemented();
+        if flip {
+            g = g.complement();
+            h = h.complement();
+        }
         if let Some(&hit) = self.ite_cache.get(&(f, g, h)) {
             self.cache_hits += 1;
-            return Ok(hit);
+            return Ok(hit.complement_if(flip));
         }
         self.cache_misses += 1;
         let top = self.var_of(f).min(self.var_of(g)).min(self.var_of(h));
@@ -348,16 +456,7 @@ impl Manager {
         let high = self.ite(f1, g1, h1)?;
         let result = self.make(top, low, high)?;
         self.ite_cache.insert((f, g, h), result);
-        Ok(result)
-    }
-
-    /// Fallible negation (respects the node budget).
-    ///
-    /// # Errors
-    ///
-    /// [`BuildBddError::SizeLimit`] under a node budget.
-    pub fn apply_not(&mut self, f: NodeId) -> Result<NodeId, BuildBddError> {
-        self.ite(f, NodeId::FALSE, NodeId::TRUE)
+        Ok(result.complement_if(flip))
     }
 
     /// Fallible conjunction.
@@ -384,31 +483,31 @@ impl Manager {
     ///
     /// [`BuildBddError::SizeLimit`] under a node budget.
     pub fn apply_xor(&mut self, f: NodeId, g: NodeId) -> Result<NodeId, BuildBddError> {
-        let ng = self.apply_not(g)?;
-        self.ite(f, ng, g)
+        self.ite(f, g.complement(), g)
     }
 
-    /// Negation.
+    /// Negation: flips the complement bit of the edge, so it never
+    /// creates a node and cannot fail.
+    pub fn not(&self, f: NodeId) -> NodeId {
+        f.complement()
+    }
+
+    /// Conjunction.
     ///
     /// # Panics
     ///
-    /// Panics if a node budget is exceeded; use [`Manager::apply_not`]
+    /// Panics if a node budget is exceeded; use [`Manager::apply_and`]
     /// when a budget is set.
-    pub fn not(&mut self, f: NodeId) -> NodeId {
-        self.apply_not(f).expect("node budget exceeded")
-    }
-
-    /// Conjunction (see [`Manager::not`] for budget semantics).
     pub fn and(&mut self, f: NodeId, g: NodeId) -> NodeId {
         self.apply_and(f, g).expect("node budget exceeded")
     }
 
-    /// Disjunction (see [`Manager::not`] for budget semantics).
+    /// Disjunction (see [`Manager::and`] for budget semantics).
     pub fn or(&mut self, f: NodeId, g: NodeId) -> NodeId {
         self.apply_or(f, g).expect("node budget exceeded")
     }
 
-    /// Exclusive or (see [`Manager::not`] for budget semantics).
+    /// Exclusive or (see [`Manager::and`] for budget semantics).
     pub fn xor(&mut self, f: NodeId, g: NodeId) -> NodeId {
         self.apply_xor(f, g).expect("node budget exceeded")
     }
@@ -448,37 +547,53 @@ impl Manager {
     /// # Ok::<(), axmc_bdd::BuildBddError>(())
     /// ```
     pub fn count_sat(&self, f: NodeId) -> Result<u128, BuildBddError> {
+        Ok(self.count_sat_all(&[f])?[0])
+    }
+
+    /// [`Manager::count_sat`] for several roots at once. One dense
+    /// per-node memo serves every root, so nodes shared between the
+    /// roots are counted once.
+    pub(crate) fn count_sat_all(&self, roots: &[NodeId]) -> Result<Vec<u128>, BuildBddError> {
         if self.num_vars > MAX_COUNT_VARS {
             return Err(BuildBddError::WidthLimit {
                 vars: self.num_vars,
             });
         }
-        let mut cache: HashMap<NodeId, u128> = HashMap::new();
-        let total_vars = self.num_vars as u32;
-        // count(f) over variables var_of(f)..num_vars, then scale.
-        fn go(m: &Manager, f: NodeId, cache: &mut HashMap<NodeId, u128>, total_vars: u32) -> u128 {
-            // Returns count over the variables strictly below var_of(f).
-            if f == NodeId::FALSE {
-                return 0;
-            }
-            if f == NodeId::TRUE {
-                return 1;
-            }
-            if let Some(&c) = cache.get(&f) {
-                return c;
-            }
-            let node = m.nodes[f.index()];
-            let lo = go(m, node.low, cache, total_vars);
-            let hi = go(m, node.high, cache, total_vars);
-            let skip_lo = m.var_of(node.low).min(total_vars) - node.var - 1;
-            let skip_hi = m.var_of(node.high).min(total_vars) - node.var - 1;
-            let c = (lo << skip_lo) + (hi << skip_hi);
-            cache.insert(f, c);
+        let total = self.num_vars as u32;
+        let mut memo = vec![UNCOUNTED; self.nodes.len()];
+        memo[0] = 1;
+        Ok(roots
+            .iter()
+            .map(|&f| self.edge_count(f, total, &mut memo) << self.var_of(f).min(total))
+            .collect())
+    }
+
+    /// Models of the edge `e` over the variables from its node's level
+    /// to the bottom (`total` variables in all).
+    fn edge_count(&self, e: NodeId, total: u32, memo: &mut [u128]) -> u128 {
+        let level = self.var_of(e).min(total);
+        let c = self.node_count(e.index(), total, memo);
+        if e.is_complemented() {
+            (1u128 << (total - level)) - c
+        } else {
             c
         }
-        let c = go(self, f, &mut cache, total_vars);
-        let top_skip = self.var_of(f).min(total_vars);
-        Ok(c << top_skip)
+    }
+
+    /// Models of the (regular) node `index` over the variables from its
+    /// level to the bottom; skipped levels each contribute a factor of 2.
+    fn node_count(&self, index: usize, total: u32, memo: &mut [u128]) -> u128 {
+        if memo[index] != UNCOUNTED {
+            return memo[index];
+        }
+        let node = self.nodes[index];
+        let lo = self.edge_count(node.low, total, memo);
+        let hi = self.edge_count(node.high, total, memo);
+        let skip_lo = self.var_of(node.low).min(total) - node.var - 1;
+        let skip_hi = self.var_of(node.high).min(total) - node.var - 1;
+        let c = (lo << skip_lo) + (hi << skip_hi);
+        memo[index] = c;
+        c
     }
 
     /// Maximizes the unsigned word formed by `bits` (LSB first) over all
@@ -535,11 +650,12 @@ impl Manager {
         while !cur.is_terminal() {
             let node = self.nodes[cur.index()];
             let input = self.input_at[node.var as usize];
-            cur = if assignment[input as usize] {
+            let child = if assignment[input as usize] {
                 node.high
             } else {
                 node.low
             };
+            cur = child.complement_if(cur.is_complemented());
         }
         cur == NodeId::TRUE
     }
@@ -562,39 +678,19 @@ impl Manager {
             return Err(BuildBddError::Interrupted(reason));
         }
         let mut map: Vec<NodeId> = Vec::with_capacity(aig.num_nodes());
+        let edge = |map: &[NodeId], lit: axmc_aig::Lit| {
+            map[lit.var().index() as usize].complement_if(lit.is_negated())
+        };
         for (_, node) in aig.iter() {
             let id = match node {
                 Node::Const => NodeId::FALSE,
                 Node::Input(k) => self.var(k as usize),
                 Node::Latch(_) => unreachable!(),
-                Node::And(a, b) => {
-                    let fa = map[a.var().index() as usize];
-                    let fa = if a.is_negated() {
-                        self.apply_not(fa)?
-                    } else {
-                        fa
-                    };
-                    let fb = map[b.var().index() as usize];
-                    let fb = if b.is_negated() {
-                        self.apply_not(fb)?
-                    } else {
-                        fb
-                    };
-                    self.ite(fa, fb, NodeId::FALSE)?
-                }
+                Node::And(a, b) => self.apply_and(edge(&map, a), edge(&map, b))?,
             };
             map.push(id);
         }
-        let mut outputs = Vec::with_capacity(aig.num_outputs());
-        for &o in aig.outputs() {
-            let f = map[o.var().index() as usize];
-            outputs.push(if o.is_negated() {
-                self.apply_not(f)?
-            } else {
-                f
-            });
-        }
-        Ok(outputs)
+        Ok(aig.outputs().iter().map(|&o| edge(&map, o)).collect())
     }
 }
 
@@ -639,6 +735,89 @@ mod tests {
         assert_eq!(contra, NodeId::FALSE);
         let nna = m.not(na);
         assert_eq!(nna, a);
+    }
+
+    #[test]
+    fn negation_creates_no_node_and_is_an_involution() {
+        let mut m = Manager::new(4);
+        let vars: Vec<NodeId> = (0..4).map(|i| m.var(i)).collect();
+        let ab = m.and(vars[0], vars[1]);
+        let f = m.xor(ab, vars[2]);
+        let f = m.or(f, vars[3]);
+        let before = m.num_nodes();
+        for g in [NodeId::TRUE, NodeId::FALSE, vars[0], ab, f] {
+            let ng = m.not(g);
+            assert_ne!(ng, g);
+            assert_eq!(m.not(ng), g);
+        }
+        assert_eq!(m.not(NodeId::TRUE), NodeId::FALSE);
+        assert_eq!(m.num_nodes(), before, "negation must not allocate");
+        // A negated operand reuses the same nodes: !(a ∧ b) = !a ∨ !b.
+        let na = m.not(vars[0]);
+        let nb = m.not(vars[1]);
+        let de_morgan = m.or(na, nb);
+        assert_eq!(de_morgan, m.not(ab));
+        assert_eq!(m.num_nodes(), before);
+    }
+
+    #[test]
+    fn count_sat_of_a_function_and_its_negation_cover_the_space() {
+        use axmc_circuit::generators;
+        let adder = generators::ripple_carry_adder(4).to_aig();
+        let mut m = Manager::new(8).with_order(&interleaved_order(4));
+        let outputs = m.import_aig(&adder).unwrap();
+        for &f in outputs.iter().chain(&[NodeId::TRUE, NodeId::FALSE]) {
+            let nf = m.not(f);
+            assert_eq!(m.count_sat(f).unwrap() + m.count_sat(nf).unwrap(), 256);
+        }
+        // At the counting boundary the two halves still sum to 2^127.
+        let mut wide = Manager::new(MAX_COUNT_VARS);
+        let a = wide.var(0);
+        let z = wide.var(MAX_COUNT_VARS - 1);
+        let f = wide.xor(a, z);
+        for g in [NodeId::TRUE, a, z, f] {
+            let ng = wide.not(g);
+            let (c, nc) = (wide.count_sat(g).unwrap(), wide.count_sat(ng).unwrap());
+            assert_eq!(c.checked_add(nc), Some(1u128 << 127));
+        }
+    }
+
+    #[test]
+    fn eval_through_complemented_edges_agrees_with_simulation() {
+        use axmc_circuit::{approx, generators};
+        // The |G−C|-style circuits mix negated AND inputs and outputs.
+        for aig in [
+            generators::array_multiplier(3).to_aig(),
+            approx::lower_or_adder(3, 2).to_aig(),
+            generators::carry_select_adder(3, 2).to_aig(),
+        ] {
+            let mut m = Manager::new(6).with_order(&interleaved_order(3));
+            let outputs = m.import_aig(&aig).unwrap();
+            for x in 0..64u32 {
+                let assignment: Vec<bool> = (0..6).map(|i| (x >> i) & 1 == 1).collect();
+                let sim = aig.eval_comb(&assignment);
+                for (o, &f) in outputs.iter().enumerate() {
+                    assert_eq!(m.eval(f, &assignment), sim[o], "x={x} bit {o}");
+                    assert_eq!(m.eval(m.not(f), &assignment), !sim[o], "x={x} !bit {o}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_memo_counts_equal_per_root_counts() {
+        use axmc_circuit::generators;
+        let mult = generators::array_multiplier(4).to_aig();
+        let mut m = Manager::new(8).with_order(&interleaved_order(4));
+        let mut roots = m.import_aig(&mult).unwrap();
+        let negated: Vec<NodeId> = roots.iter().map(|&f| m.not(f)).collect();
+        let repeated = roots[3];
+        roots.extend(negated);
+        roots.extend([NodeId::TRUE, NodeId::FALSE, repeated]);
+        let shared = m.count_sat_all(&roots).unwrap();
+        let single: Vec<u128> = roots.iter().map(|&f| m.count_sat(f).unwrap()).collect();
+        assert_eq!(shared, single);
+        assert_eq!(m.count_sat_all(&[]).unwrap(), Vec::<u128>::new());
     }
 
     #[test]

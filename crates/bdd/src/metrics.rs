@@ -1,25 +1,31 @@
-//! Exact average-case error metrics via BDD model counting.
+//! Exact error metrics via BDDs: the average case by model counting, the
+//! worst case by characteristic-function maximization.
 //!
 //! The worst-case metrics have efficient SAT formulations; the
 //! *average-case* ones (MAE, error rate) need counting. For adder-class
 //! circuits the BDDs stay small and the counts — hence the metrics — are
 //! **exact with guarantees**, something random simulation cannot provide.
 //!
-//! Every metric has two entry points: a plain one
-//! ([`exact_mae`], [`exact_error_rate`]) for standalone use, and a
-//! `_with` variant taking a [`ResourceCtl`] so the unified backend in
-//! `axmc-core` can run these computations under the same deadlines and
-//! cancellation tokens as its SAT queries.
+//! There is one entry point per kind of metric, each taking a
+//! [`ResourceCtl`] so the unified backend in `axmc-core` can run it under
+//! the same deadlines and cancellation tokens as its SAT queries:
+//!
+//! * [`exact_average_with`] imports `|G − C|` once and derives both
+//!   average metrics from one count with a shared per-node memo: the
+//!   total error `Σ 2^i · #bit_i`, and the error-input count `#(OR of
+//!   the bits)`, because `|G − C| ≠ 0` exactly when `G ≠ C`.
+//! * [`exact_word_max`] maximizes the word a miter outputs — the worst
+//!   case of `|G − C|` or of the bit-flip popcount.
 
 use crate::manager::{interleaved_order, BuildBddError, Manager, NodeId};
 use axmc_aig::{Aig, Word};
 use axmc_sat::ResourceCtl;
 
-/// The variable order used by the metric entry points: interleaves the
-/// two operand halves when the input count is even (the standard layout
-/// of the arithmetic generators, under which adder BDDs stay linear);
-/// falls back to the natural order for odd input counts.
-pub fn two_operand_order(num_inputs: usize) -> Vec<usize> {
+/// The variable order of both entry points: interleaves the two operand
+/// halves when the input count is even (the standard layout of the
+/// arithmetic generators, under which adder BDDs stay linear); falls back
+/// to the natural order for odd input counts.
+fn two_operand_order(num_inputs: usize) -> Vec<usize> {
     if num_inputs.is_multiple_of(2) {
         interleaved_order(num_inputs / 2)
     } else {
@@ -27,24 +33,25 @@ pub fn two_operand_order(num_inputs: usize) -> Vec<usize> {
     }
 }
 
-/// Exact error statistics obtained by model counting.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct BddErrorStats {
-    /// Exact mean absolute error over all `2^n` inputs.
-    pub mae: f64,
-    /// Exact sum of absolute errors over all inputs.
-    pub total_error: u128,
-    /// Peak BDD node count during the computation.
-    pub bdd_nodes: usize,
+/// A manager over `num_inputs` variables in [`two_operand_order`] under
+/// the caller's node budget and resource control.
+fn metric_manager(num_inputs: usize, node_limit: usize, ctl: &ResourceCtl) -> Manager {
+    Manager::new(num_inputs)
+        .with_order(&two_operand_order(num_inputs))
+        .with_node_limit(node_limit)
+        .with_ctl(ctl.clone())
 }
 
-/// Exact disagreement statistics obtained by model counting.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct BddRateStats {
-    /// Exact number of input assignments on which the circuits disagree.
+/// Exact average-case error statistics obtained by model counting.
+///
+/// Divide by `2^n` for the mean absolute error (`total_error`) and the
+/// error rate (`error_inputs`) over all `n`-bit inputs.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct BddAverage {
+    /// Exact sum of `|G − C|` over all `2^n` inputs.
+    pub total_error: u128,
+    /// Exact number of inputs on which the circuits disagree.
     pub error_inputs: u128,
-    /// Exact error rate: `error_inputs / 2^n`.
-    pub rate: f64,
     /// Peak BDD node count during the computation.
     pub bdd_nodes: usize,
 }
@@ -63,16 +70,21 @@ fn check_interfaces(golden: &Aig, candidate: &Aig) {
     );
 }
 
-/// Computes the **exact** mean absolute error of `candidate` against
-/// `golden` by building BDDs for the bits of `|golden - candidate|` and
-/// model-counting each: `sum |err| = Σ_i 2^i · #SAT(abs_bit_i)`.
+/// Computes the **exact** total error and error-input count of
+/// `candidate` against `golden` under a [`ResourceCtl`].
+///
+/// Builds one BDD per bit of `|golden − candidate|` and the OR of those
+/// bits, then model-counts all of them in one pass over a shared memo:
+/// `Σ |err| = Σ_i 2^i · #SAT(abs_bit_i)` and `#(G ≠ C) = #SAT(OR_i
+/// abs_bit_i)`.
 ///
 /// # Errors
 ///
 /// [`BuildBddError::SizeLimit`] when the BDDs exceed `node_limit`
 /// (expected for multiplier-class circuits — fall back to SAT or
-/// sampling), or [`BuildBddError::WidthLimit`] when the input width
-/// exceeds the exact `u128` counting range.
+/// sampling), [`BuildBddError::WidthLimit`] when the input width exceeds
+/// the exact `u128` counting range, or [`BuildBddError::Interrupted`]
+/// when the control's deadline or cancellation token fires.
 ///
 /// # Panics
 ///
@@ -81,35 +93,26 @@ fn check_interfaces(golden: &Aig, candidate: &Aig) {
 /// # Examples
 ///
 /// ```
-/// use axmc_bdd::exact_mae;
+/// use axmc_bdd::exact_average_with;
 /// use axmc_circuit::{approx, generators};
+/// use axmc_sat::ResourceCtl;
 ///
 /// let golden = generators::ripple_carry_adder(8).to_aig();
 /// let cheap = approx::truncated_adder(8, 2).to_aig();
-/// let stats = exact_mae(&golden, &cheap, 1_000_000)?;
+/// let stats = exact_average_with(&golden, &cheap, 1_000_000, &ResourceCtl::unlimited())?;
 /// // Truncating two low bits: every low-operand pattern is averaged
 /// // exactly over all 2^16 inputs, no sampling involved.
-/// assert!(stats.mae > 0.0 && stats.mae < 6.0);
-/// assert_eq!(stats.total_error, (stats.mae * 65536.0).round() as u128);
+/// let mae = stats.total_error as f64 / 65536.0;
+/// assert!(mae > 0.0 && mae < 6.0);
+/// assert!(stats.error_inputs > 0 && stats.error_inputs <= stats.total_error);
 /// # Ok::<(), axmc_bdd::BuildBddError>(())
 /// ```
-pub fn exact_mae(
-    golden: &Aig,
-    candidate: &Aig,
-    node_limit: usize,
-) -> Result<BddErrorStats, BuildBddError> {
-    exact_mae_with(golden, candidate, node_limit, &ResourceCtl::unlimited())
-}
-
-/// [`exact_mae`] under a [`ResourceCtl`]: the computation additionally
-/// observes the control's deadline and cancellation token, returning
-/// [`BuildBddError::Interrupted`] when either fires.
-pub fn exact_mae_with(
+pub fn exact_average_with(
     golden: &Aig,
     candidate: &Aig,
     node_limit: usize,
     ctl: &ResourceCtl,
-) -> Result<BddErrorStats, BuildBddError> {
+) -> Result<BddAverage, BuildBddError> {
     check_interfaces(golden, candidate);
 
     // |G - C| as a combinational circuit.
@@ -124,105 +127,83 @@ pub fn exact_mae_with(
     }
     let diff_aig = diff_aig.compact();
 
-    let mut m = Manager::new(golden.num_inputs())
-        .with_order(&two_operand_order(golden.num_inputs()))
-        .with_node_limit(node_limit)
-        .with_ctl(ctl.clone());
-    let run = |m: &mut Manager| -> Result<u128, BuildBddError> {
-        let bits = m.import_aig(&diff_aig)?;
+    let mut m = metric_manager(golden.num_inputs(), node_limit, ctl);
+    let run = |m: &mut Manager| -> Result<(u128, u128), BuildBddError> {
+        let mut roots = m.import_aig(&diff_aig)?;
+        let mut any = NodeId::FALSE;
+        for &bit in &roots {
+            any = m.apply_or(any, bit)?;
+        }
+        roots.push(any);
+        let counts = m.count_sat_all(&roots)?;
+        let (error_inputs, bit_counts) = counts.split_last().expect("the OR root is last");
         let mut total: u128 = 0;
-        for (i, &f) in bits.iter().enumerate() {
-            let count = m.count_sat(f)?;
+        for (i, &count) in bit_counts.iter().enumerate() {
             // Σ count_i · 2^i can outgrow u128 even when each count fits;
             // surface that as the same typed width-limit error.
             total = count
                 .checked_shl(i as u32)
                 .and_then(|scaled| total.checked_add(scaled))
                 .ok_or(BuildBddError::WidthLimit {
-                    vars: golden.num_inputs() + bits.len(),
+                    vars: golden.num_inputs() + bit_counts.len(),
                 })?;
         }
-        Ok(total)
+        Ok((total, *error_inputs))
     };
     // Flush cache/node introspection whether the build succeeded or blew
     // its limit — the blow-ups are exactly the runs worth inspecting.
-    let total = run(&mut m);
+    let counts = run(&mut m);
     m.flush_obs();
-    let total = total?;
-    let denom = 2f64.powi(golden.num_inputs() as i32);
-    Ok(BddErrorStats {
-        mae: total as f64 / denom,
-        total_error: total,
+    let (total_error, error_inputs) = counts?;
+    Ok(BddAverage {
+        total_error,
+        error_inputs,
         bdd_nodes: m.num_nodes(),
     })
 }
 
-/// Computes the **exact** error rate (fraction of inputs on which the
-/// circuits disagree) by model-counting the strict-inequality function.
+/// Computes the **exact** maximum of the unsigned word (LSB first) that
+/// the combinational `miter` outputs, under a [`ResourceCtl`]: imports
+/// the miter and walks it with [`Manager::max_word`]. Applied to the
+/// `|G − C|` word this is the worst-case error; applied to the XOR
+/// popcount word, the bit-flip error.
+///
+/// Returns the maximum and the peak BDD node count.
 ///
 /// # Errors
 ///
-/// [`BuildBddError::SizeLimit`] when the BDDs exceed `node_limit`, or
-/// [`BuildBddError::WidthLimit`] past the exact counting range.
+/// [`BuildBddError::SizeLimit`] when the BDDs exceed `node_limit`,
+/// [`BuildBddError::WidthLimit`] for words wider than 128 bits, or
+/// [`BuildBddError::Interrupted`] when the control fires.
 ///
 /// # Panics
 ///
-/// Panics if the circuits are sequential or their interfaces differ.
+/// Panics if the miter is sequential.
 ///
 /// # Examples
 ///
 /// ```
-/// use axmc_bdd::exact_error_rate;
-/// use axmc_circuit::generators;
+/// use axmc_bdd::exact_word_max;
+/// use axmc_circuit::{approx, generators};
+/// use axmc_miter::abs_diff_word_miter;
+/// use axmc_sat::ResourceCtl;
 ///
-/// // A circuit never disagrees with itself; rate is exactly zero.
-/// let adder = generators::ripple_carry_adder(6).to_aig();
-/// assert_eq!(exact_error_rate(&adder, &adder, 100_000)?, 0.0);
+/// let golden = generators::ripple_carry_adder(8).to_aig();
+/// let cheap = approx::truncated_adder(8, 3).to_aig();
+/// let miter = abs_diff_word_miter(&golden, &cheap);
+/// let (wce, _nodes) = exact_word_max(&miter, 1_000_000, &ResourceCtl::unlimited())?;
+/// assert_eq!(wce, (1 << 4) - 2); // 2^(cut+1) - 2
 /// # Ok::<(), axmc_bdd::BuildBddError>(())
 /// ```
-pub fn exact_error_rate(
-    golden: &Aig,
-    candidate: &Aig,
-    node_limit: usize,
-) -> Result<f64, BuildBddError> {
-    exact_error_rate_with(golden, candidate, node_limit, &ResourceCtl::unlimited())
-        .map(|stats| stats.rate)
-}
-
-/// [`exact_error_rate`] under a [`ResourceCtl`], additionally returning
-/// the exact disagreement count and the peak node count. Observes the
-/// control's deadline and cancellation token
-/// ([`BuildBddError::Interrupted`]).
-pub fn exact_error_rate_with(
-    golden: &Aig,
-    candidate: &Aig,
+pub fn exact_word_max(
+    miter: &Aig,
     node_limit: usize,
     ctl: &ResourceCtl,
-) -> Result<BddRateStats, BuildBddError> {
-    check_interfaces(golden, candidate);
-
-    let mut m = Manager::new(golden.num_inputs())
-        .with_order(&two_operand_order(golden.num_inputs()))
-        .with_node_limit(node_limit)
-        .with_ctl(ctl.clone());
-    let run = |m: &mut Manager| -> Result<u128, BuildBddError> {
-        let g_bits = m.import_aig(&golden.compact())?;
-        let c_bits = m.import_aig(&candidate.compact())?;
-        let mut any = NodeId::FALSE;
-        for (&g, &c) in g_bits.iter().zip(&c_bits) {
-            let d = m.apply_xor(g, c)?;
-            any = m.ite(any, NodeId::TRUE, d)?;
-        }
-        m.count_sat(any)
-    };
-    let count = run(&mut m);
+) -> Result<(u128, usize), BuildBddError> {
+    let mut m = metric_manager(miter.num_inputs(), node_limit, ctl);
+    let value = m.import_aig(miter).and_then(|bits| m.max_word(&bits));
     m.flush_obs();
-    let count = count?;
-    Ok(BddRateStats {
-        error_inputs: count,
-        rate: count as f64 / 2f64.powi(golden.num_inputs() as i32),
-        bdd_nodes: m.num_nodes(),
-    })
+    Ok((value?, m.num_nodes()))
 }
 
 #[cfg(test)]
@@ -230,9 +211,11 @@ mod tests {
     use super::*;
     use axmc_aig::sim::for_each_assignment;
     use axmc_circuit::{approx, generators};
+    use axmc_miter::abs_diff_word_miter;
     use axmc_sat::{CancelToken, Interrupt};
 
-    fn exhaustive_mae_and_rate(golden: &Aig, cand: &Aig) -> (f64, f64) {
+    /// Exhaustive (MAE, error rate, disagreement count) of a pair.
+    fn exhaustive_mae_and_rate(golden: &Aig, cand: &Aig) -> (f64, f64, u128) {
         let mut g_out = Vec::new();
         for_each_assignment(golden, |_, out| g_out.push(out));
         let mut total = 0u128;
@@ -246,7 +229,24 @@ mod tests {
             }
             count += 1;
         });
-        (total as f64 / count as f64, errs as f64 / count as f64)
+        (
+            total as f64 / count as f64,
+            errs as f64 / count as f64,
+            u128::from(errs),
+        )
+    }
+
+    fn average(golden: &Aig, cand: &Aig, node_limit: usize) -> Result<BddAverage, BuildBddError> {
+        exact_average_with(golden, cand, node_limit, &ResourceCtl::unlimited())
+    }
+
+    /// (MAE, error rate) of the BDD statistics over `inputs` inputs.
+    fn mae_and_rate(stats: &BddAverage, inputs: usize) -> (f64, f64) {
+        let denom = 2f64.powi(inputs as i32);
+        (
+            stats.total_error as f64 / denom,
+            stats.error_inputs as f64 / denom,
+        )
     }
 
     #[test]
@@ -259,16 +259,11 @@ mod tests {
             approx::speculative_adder(width, 2),
         ] {
             let cand = cand_nl.to_aig();
-            let (mae, rate) = exhaustive_mae_and_rate(&golden, &cand);
-            let stats = exact_mae(&golden, &cand, 1_000_000).unwrap();
-            assert!(
-                (stats.mae - mae).abs() < 1e-12,
-                "mae {} vs {}",
-                stats.mae,
-                mae
-            );
-            let r = exact_error_rate(&golden, &cand, 1_000_000).unwrap();
-            assert!((r - rate).abs() < 1e-12, "rate {r} vs {rate}");
+            let (mae, rate, _) = exhaustive_mae_and_rate(&golden, &cand);
+            let stats = average(&golden, &cand, 1_000_000).unwrap();
+            let (bdd_mae, bdd_rate) = mae_and_rate(&stats, 2 * width);
+            assert!((bdd_mae - mae).abs() < 1e-12, "mae {bdd_mae} vs {mae}");
+            assert!((bdd_rate - rate).abs() < 1e-12, "rate {bdd_rate} vs {rate}");
         }
     }
 
@@ -276,9 +271,9 @@ mod tests {
     fn equivalent_circuits_have_zero_metrics() {
         let a = generators::ripple_carry_adder(8).to_aig();
         let b = generators::carry_select_adder(8, 3).to_aig();
-        let stats = exact_mae(&a, &b, 1_000_000).unwrap();
+        let stats = average(&a, &b, 1_000_000).unwrap();
         assert_eq!(stats.total_error, 0);
-        assert_eq!(exact_error_rate(&a, &b, 1_000_000).unwrap(), 0.0);
+        assert_eq!(stats.error_inputs, 0);
     }
 
     #[test]
@@ -288,12 +283,13 @@ mod tests {
         let width = 24;
         let golden = generators::ripple_carry_adder(width).to_aig();
         let cand = approx::truncated_adder(width, 6).to_aig();
-        let stats = exact_mae(&golden, &cand, 5_000_000).unwrap();
-        assert!(stats.mae > 0.0);
+        let stats = average(&golden, &cand, 5_000_000).unwrap();
+        let (mae, _) = mae_and_rate(&stats, 2 * width);
+        assert!(mae > 0.0);
         // Truncation drops the two low operand fields: expected MAE is
         // the mean of (a_lo + b_lo) plus carry interactions; bounded by
         // the worst case 2^7 - 2.
-        assert!(stats.mae < 126.0);
+        assert!(mae < 126.0);
     }
 
     #[test]
@@ -301,7 +297,7 @@ mod tests {
         let width = 8;
         let golden = generators::array_multiplier(width).to_aig();
         let cand = approx::truncated_multiplier(width, 4).to_aig();
-        match exact_mae(&golden, &cand, 50_000) {
+        match average(&golden, &cand, 50_000) {
             Err(BuildBddError::SizeLimit { .. }) => {}
             Err(other) => panic!("expected a size limit, got {other}"),
             Ok(stats) => panic!("expected blow-up, got {} nodes", stats.bdd_nodes),
@@ -309,16 +305,46 @@ mod tests {
     }
 
     #[test]
-    fn rate_stats_report_the_exact_disagreement_count() {
+    fn average_reports_the_exact_disagreement_count() {
         let width = 4;
         let golden = generators::ripple_carry_adder(width).to_aig();
         let cand = approx::truncated_adder(width, 2).to_aig();
-        let (_, rate) = exhaustive_mae_and_rate(&golden, &cand);
-        let stats =
-            exact_error_rate_with(&golden, &cand, 1_000_000, &ResourceCtl::unlimited()).unwrap();
-        assert_eq!(stats.rate, rate);
+        let (_, rate, errs) = exhaustive_mae_and_rate(&golden, &cand);
+        let stats = average(&golden, &cand, 1_000_000).unwrap();
+        assert_eq!(mae_and_rate(&stats, 2 * width).1, rate);
         assert_eq!(stats.error_inputs, (rate * 256.0).round() as u128);
+        assert_eq!(stats.error_inputs, errs);
         assert!(stats.bdd_nodes > 2);
+    }
+
+    #[test]
+    fn word_max_is_the_exhaustive_worst_case() {
+        let width = 5;
+        let golden = generators::ripple_carry_adder(width).to_aig();
+        for cand_nl in [
+            approx::truncated_adder(width, 2),
+            approx::lower_or_adder(width, 3),
+        ] {
+            let cand = cand_nl.to_aig();
+            let mut g_out = Vec::new();
+            for_each_assignment(&golden, |_, out| g_out.push(out));
+            let mut wce = 0u128;
+            for_each_assignment(&cand, |i, out| {
+                wce = wce.max(g_out[i as usize].abs_diff(out))
+            });
+            let miter = abs_diff_word_miter(&golden, &cand);
+            let (value, nodes) =
+                exact_word_max(&miter, 1_000_000, &ResourceCtl::unlimited()).unwrap();
+            assert_eq!(value, wce);
+            assert!(nodes > 2 * width);
+        }
+        let mult = generators::array_multiplier(8).to_aig();
+        let cand = approx::truncated_multiplier(8, 4).to_aig();
+        let miter = abs_diff_word_miter(&mult, &cand);
+        assert!(matches!(
+            exact_word_max(&miter, 50_000, &ResourceCtl::unlimited()),
+            Err(BuildBddError::SizeLimit { limit: 50_000 })
+        ));
     }
 
     #[test]
@@ -328,11 +354,12 @@ mod tests {
         let ctl = ResourceCtl::unlimited().with_cancel(token);
         let golden = generators::ripple_carry_adder(8).to_aig();
         let cand = approx::truncated_adder(8, 2).to_aig();
-        match exact_mae_with(&golden, &cand, 1_000_000, &ctl) {
+        match exact_average_with(&golden, &cand, 1_000_000, &ctl) {
             Err(BuildBddError::Interrupted(Interrupt::Cancelled)) => {}
             other => panic!("expected cancellation, got {other:?}"),
         }
-        match exact_error_rate_with(&golden, &cand, 1_000_000, &ctl) {
+        let miter = abs_diff_word_miter(&golden, &cand);
+        match exact_word_max(&miter, 1_000_000, &ctl) {
             Err(BuildBddError::Interrupted(Interrupt::Cancelled)) => {}
             other => panic!("expected cancellation, got {other:?}"),
         }

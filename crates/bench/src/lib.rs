@@ -378,6 +378,20 @@ fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// `PhaseLog::new` and every phase boundary reset the global metrics
+    /// registry, so tests that build a `PhaseLog` must not run side by
+    /// side: each holds this lock while it does.
+    static REGISTRY: Mutex<()> = Mutex::new(());
+
+    fn registry_lock() -> MutexGuard<'static, ()> {
+        // The guarded value is `()`, so a panicked holder leaves nothing
+        // inconsistent behind.
+        REGISTRY
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn scale_pick() {
@@ -400,6 +414,7 @@ mod tests {
 
     #[test]
     fn phase_log_captures_per_phase_metrics() {
+        let _registry = registry_lock();
         let mut log = PhaseLog::new("TST", Scale::Quick);
         log.phase("alpha");
         axmc_obs::counter("t.solves").add(2);
@@ -424,6 +439,7 @@ mod tests {
 
     #[test]
     fn phase_log_records_jobs() {
+        let _registry = registry_lock();
         let log = PhaseLog::new("TSTJ", Scale::Quick).with_jobs(4);
         let json = log.to_json();
         assert!(json.contains("\"jobs\": 4"), "{json}");
@@ -434,6 +450,7 @@ mod tests {
 
     #[test]
     fn phase_log_records_proc_usage() {
+        let _registry = registry_lock();
         let log = PhaseLog::new("TSTP", Scale::Quick);
         let json = log.to_json();
         assert!(json.contains("\"proc\""), "{json}");

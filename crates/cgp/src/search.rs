@@ -496,14 +496,8 @@ fn bdd_worst_case(
     options: &SearchOptions,
 ) -> Result<Option<u128>, Interrupt> {
     let miter = abs_diff_word_miter(golden_aig, cand_aig).compact();
-    let n = miter.num_inputs();
-    let mut m = axmc_bdd::Manager::new(n)
-        .with_order(&axmc_bdd::two_operand_order(n))
-        .with_node_limit(options.bdd_node_limit)
-        .with_ctl(options.ctl.clone());
-    let attempt = m.import_aig(&miter).and_then(|bits| m.max_word(&bits));
-    match attempt {
-        Ok(wce) => {
+    match axmc_bdd::exact_word_max(&miter, options.bdd_node_limit, &options.ctl) {
+        Ok((wce, _nodes)) => {
             axmc_obs::counter("engine.selected.bdd").inc();
             Ok(Some(wce))
         }

@@ -16,7 +16,7 @@ use crate::report::{AnalysisError, AverageMethod, AverageReport, ErrorReport, Pa
 use crate::verdict::Verdict;
 use axmc_absint::{static_word_bounds, StaticOutcome, WordBounds, DEFAULT_PROBE_VECTORS};
 use axmc_aig::{bits_to_u128, sim::for_each_assignment, Aig};
-use axmc_bdd::{BuildBddError, Manager};
+use axmc_bdd::BuildBddError;
 use axmc_cnf::{encode_comb, gates};
 use axmc_miter::{
     abs_diff_word_miter, bit_flip_threshold_miter, diff_threshold_miter, diff_word_miter,
@@ -499,31 +499,13 @@ impl<'a> CombAnalyzer<'a> {
         })
     }
 
-    /// The BDD engine shared by both worst-case metrics: import the
-    /// miter's output word and maximize it by characteristic-function
-    /// narrowing.
+    /// The BDD engine shared by both worst-case metrics: the exact
+    /// maximum of the miter's output word.
     fn bdd_word_max(&self, miter: &Aig, ctl: &ResourceCtl) -> BddAttempt<u128> {
-        let n = self.golden.num_inputs();
-        let mut m = Manager::new(n)
-            .with_order(&axmc_bdd::two_operand_order(n))
-            .with_node_limit(self.options.bdd_node_limit)
-            .with_ctl(ctl.clone());
-        let run = |m: &mut Manager| -> BddAttempt<u128> {
-            let bits = match m.import_aig(miter) {
-                Ok(bits) => bits,
-                Err(e) => return BddAttempt::from_error(e),
-            };
-            match m.max_word(&bits) {
-                Ok(value) => BddAttempt::Exact {
-                    value,
-                    nodes: m.num_nodes(),
-                },
-                Err(e) => BddAttempt::from_error(e),
-            }
-        };
-        let out = run(&mut m);
-        m.flush_obs();
-        out
+        match axmc_bdd::exact_word_max(miter, self.options.bdd_node_limit, ctl) {
+            Ok((value, nodes)) => BddAttempt::Exact { value, nodes },
+            Err(e) => BddAttempt::from_error(e),
+        }
     }
 
     /// Runs the SAT engine under `ctl`, recording its latency (as a
@@ -792,41 +774,27 @@ impl<'a> CombAnalyzer<'a> {
     /// cancellation token fires mid-computation.
     pub fn average_error(&self) -> Result<AverageReport, AnalysisError> {
         let ctl = &self.options.ctl;
-        let start = Instant::now();
-        let mae = axmc_bdd::exact_mae_with(
-            self.golden,
-            self.candidate,
-            self.options.bdd_node_limit,
-            ctl,
-        );
-        match mae {
+        let bdd = {
+            let _span = axmc_obs::span("engine.bdd.time_us");
+            axmc_bdd::exact_average_with(
+                self.golden,
+                self.candidate,
+                self.options.bdd_node_limit,
+                ctl,
+            )
+        };
+        match bdd {
             Ok(stats) => {
-                let rate = axmc_bdd::exact_error_rate_with(
-                    self.golden,
-                    self.candidate,
-                    self.options.bdd_node_limit,
-                    ctl,
-                );
-                match rate {
-                    Ok(rate_stats) => {
-                        axmc_obs::histogram("engine.bdd.time_us")
-                            .record(start.elapsed().as_micros() as u64);
-                        axmc_obs::histogram("bdd.nodes")
-                            .record(stats.bdd_nodes.max(rate_stats.bdd_nodes) as u64);
-                        axmc_obs::counter("engine.selected.bdd").inc();
-                        return Ok(AverageReport {
-                            mae: stats.mae,
-                            error_rate: rate_stats.rate,
-                            total_error: Some(stats.total_error),
-                            exact: true,
-                            method: AverageMethod::Bdd,
-                        });
-                    }
-                    Err(BuildBddError::Interrupted(reason)) => {
-                        return Err(AnalysisError::interrupted(reason))
-                    }
-                    Err(_) => {}
-                }
+                axmc_obs::histogram("bdd.nodes").record(stats.bdd_nodes as u64);
+                axmc_obs::counter("engine.selected.bdd").inc();
+                let denom = 2f64.powi(self.golden.num_inputs() as i32);
+                return Ok(AverageReport {
+                    mae: stats.total_error as f64 / denom,
+                    error_rate: stats.error_inputs as f64 / denom,
+                    total_error: Some(stats.total_error),
+                    exact: true,
+                    method: AverageMethod::Bdd,
+                });
             }
             Err(BuildBddError::Interrupted(reason)) => {
                 return Err(AnalysisError::interrupted(reason))

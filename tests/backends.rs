@@ -19,6 +19,9 @@ fn suite() -> Vec<(String, axmc::aig::Aig, axmc::aig::Aig)> {
         (adder_library(4), 0usize),
         (adder_library(8), 0),
         (multiplier_library(4), 0),
+        // The widest multipliers of the builtin characterization
+        // library: the largest BDDs a library sweep builds.
+        (multiplier_library(6), 0),
     ] {
         let golden = lib[golden_of].netlist.to_aig();
         for Component { name, netlist } in &lib[1..] {
