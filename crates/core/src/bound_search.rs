@@ -60,22 +60,21 @@ fn clamp_witness(t: u128, e: u128, max: u128) -> u128 {
 
 /// Finds the exact maximum error in `[0, max]` given a probe oracle.
 ///
-/// `probe(t)` must answer whether the error can exceed `t`, returning the
-/// witnessed error on the exceeding (`Refuted`) side.
+/// `probe_batch(ts)` must answer, for every threshold `t` in `ts`,
+/// whether the error can exceed `t`, returning the witnessed error on
+/// the exceeding (`Refuted`) side. Each round hands the oracle up to
+/// `batch` speculative thresholds at once (`0` is treated as `1`); with
+/// `batch = 1` it is the plain serial probe sequence.
 ///
-/// `label` names the search in metrics and trace events (e.g.
-/// `"seq.wce"`); with tracing active, every probe emits its candidate
-/// bound, verdict and refinement interval.
-#[cfg_attr(not(test), allow(dead_code))] // production callers seed windows via `_in`
-pub(crate) fn search_max_error(
-    label: &str,
-    max: u128,
-    probe: impl FnMut(u128) -> Result<Verdict<u128>, AnalysisError>,
-) -> Result<u128, AnalysisError> {
-    search_max_error_in(label, max, None, probe)
-}
-
-/// [`search_max_error`] with an optional certified initial window.
+/// Every answer is authoritative for its own threshold — a `Refuted`
+/// raises the lower bound, a `Proved` lowers the upper bound — so the
+/// merged interval does not depend on which speculative probe "wins".
+/// A probe may individually be interrupted (its budget or deadline ran
+/// out). Interrupted probes are skipped as long as at least one probe in
+/// the round answered: an exhausted speculative worker never discards a
+/// successful sibling's answer. Only a round with *zero* answers gives
+/// up, reporting the tightest certified interval reached so far. A hard
+/// `Err` (certificate rejection) aborts the whole search at once.
 ///
 /// `window = Some((lo, hi))` asserts that `lo` is a *witnessed*
 /// (achievable) error value and `hi` a sound upper bound, both clamped
@@ -83,51 +82,16 @@ pub(crate) fn search_max_error(
 /// `[0, max]`: a strictly positive `lo` skips the initial probe at 0
 /// entirely, `hi` caps the gallop ladder, and a degenerate window
 /// (`lo == hi`) returns the exact value with **zero** probes.
-/// `window = None` reproduces the unseeded probe sequence exactly.
-pub(crate) fn search_max_error_in(
+/// `window = None` searches the full range.
+///
+/// `label` names the search in metrics and trace events (e.g.
+/// `"seq.wce"`); with tracing active, every probe emits its candidate
+/// bound, verdict and refinement interval.
+pub(crate) fn search_max_error(
     label: &str,
     max: u128,
     window: Option<(u128, u128)>,
-    mut probe: impl FnMut(u128) -> Result<Verdict<u128>, AnalysisError>,
-) -> Result<u128, AnalysisError> {
-    search_max_error_batched_in(label, max, 1, window, |ts| {
-        ts.iter().map(|&t| probe(t)).collect()
-    })
-}
-
-/// Batched variant of [`search_max_error`]: each round hands the oracle
-/// up to `batch` speculative thresholds at once, which is what lets the
-/// sequential analyzer probe a portfolio of thresholds on parallel
-/// engines.
-///
-/// Every answer is authoritative for its own threshold — a `Refuted`
-/// raises the lower bound, a `Proved` lowers the upper bound — so the
-/// merged interval does not depend on which speculative probe "wins",
-/// and `batch = 1` degenerates to exactly the serial probe sequence.
-///
-/// A probe may individually be interrupted (its budget or deadline ran
-/// out). Interrupted probes are skipped as long as at least one probe in
-/// the round answered: an exhausted speculative worker never discards a
-/// successful sibling's answer. Only a round with *zero* answers gives
-/// up, reporting the tightest certified interval reached so far. A hard
-/// `Err` (certificate rejection) aborts the whole search at once.
-pub(crate) fn search_max_error_batched(
-    label: &str,
-    max: u128,
     batch: usize,
-    probe_batch: impl FnMut(&[u128]) -> Vec<Result<Verdict<u128>, AnalysisError>>,
-) -> Result<u128, AnalysisError> {
-    search_max_error_batched_in(label, max, batch, None, probe_batch)
-}
-
-/// Batched variant of [`search_max_error_in`]: batching semantics from
-/// [`search_max_error_batched`], window semantics from
-/// [`search_max_error_in`].
-pub(crate) fn search_max_error_batched_in(
-    label: &str,
-    max: u128,
-    batch: usize,
-    window: Option<(u128, u128)>,
     mut probe_batch: impl FnMut(&[u128]) -> Vec<Result<Verdict<u128>, AnalysisError>>,
 ) -> Result<u128, AnalysisError> {
     let batch = batch.max(1);
@@ -317,6 +281,14 @@ pub(crate) fn search_max_error_batched_in(
     value
 }
 
+/// Lifts a one-threshold probe to the batch shape [`search_max_error`]
+/// takes, answering a round's thresholds one after another.
+pub(crate) fn each(
+    mut probe: impl FnMut(u128) -> Result<Verdict<u128>, AnalysisError>,
+) -> impl FnMut(&[u128]) -> Vec<Result<Verdict<u128>, AnalysisError>> {
+    move |ts| ts.iter().map(|&t| probe(t)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,12 +333,12 @@ mod tests {
         for wce in [0u128, 1, 2, 5, 7, 100, 255, 4095, 65535] {
             let max = 65535;
             assert_eq!(
-                search_max_error("test", max, oracle(wce)).unwrap(),
+                search_max_error("test", max, None, 1, each(oracle(wce))).unwrap(),
                 wce,
                 "{wce}"
             );
             assert_eq!(
-                search_max_error("test", max, weak_oracle(wce)).unwrap(),
+                search_max_error("test", max, None, 1, each(weak_oracle(wce))).unwrap(),
                 wce,
                 "{wce}"
             );
@@ -375,9 +347,12 @@ mod tests {
 
     #[test]
     fn value_at_max() {
-        assert_eq!(search_max_error("test", 255, oracle(255)).unwrap(), 255);
         assert_eq!(
-            search_max_error("test", 255, weak_oracle(255)).unwrap(),
+            search_max_error("test", 255, None, 1, each(oracle(255))).unwrap(),
+            255
+        );
+        assert_eq!(
+            search_max_error("test", 255, None, 1, each(weak_oracle(255))).unwrap(),
             255
         );
     }
@@ -393,13 +368,16 @@ mod tests {
             count += 1;
             oracle(t)
         };
-        assert_eq!(search_max_error("test", max, counted).unwrap(), wce);
+        assert_eq!(
+            search_max_error("test", max, None, 1, each(counted)).unwrap(),
+            wce
+        );
         assert!(count <= 10, "took {count} probes");
     }
 
     #[test]
     fn interruptions_propagate() {
-        let result = search_max_error("test", 100, |_| interrupted());
+        let result = search_max_error("test", 100, None, 1, each(|_| interrupted()));
         match result {
             Err(AnalysisError::Interrupted(p)) => {
                 assert_eq!(p.reason, Some(Interrupt::Conflicts));
@@ -412,17 +390,23 @@ mod tests {
     #[test]
     fn hard_errors_abort_immediately() {
         let mut probes = 0u32;
-        let result = search_max_error("test", 100, |t| {
-            probes += 1;
-            if t == 0 {
-                exceeds(10)
-            } else {
-                Err(AnalysisError::CertificateRejected {
-                    engine: "test".to_string(),
-                    detail: "bad proof".to_string(),
-                })
-            }
-        });
+        let result = search_max_error(
+            "test",
+            100,
+            None,
+            1,
+            each(|t| {
+                probes += 1;
+                if t == 0 {
+                    exceeds(10)
+                } else {
+                    Err(AnalysisError::CertificateRejected {
+                        engine: "test".to_string(),
+                        detail: "bad proof".to_string(),
+                    })
+                }
+            }),
+        );
         assert!(matches!(
             result,
             Err(AnalysisError::CertificateRejected { .. })
@@ -452,12 +436,64 @@ mod tests {
             for wce in [0u128, 1, 2, 5, 7, 100, 255, 4095, 65535] {
                 let max = 65535;
                 assert_eq!(
-                    search_max_error_batched("test", max, batch, batch_oracle(wce)).unwrap(),
+                    search_max_error("test", max, None, batch, batch_oracle(wce)).unwrap(),
                     wce,
                     "batch {batch}, wce {wce}"
                 );
             }
         }
+    }
+
+    /// The classic serial search written out directly: one probe at 0,
+    /// a doubling gallop up to the first `Proved`, then midpoint
+    /// bisection. Returns the thresholds it probed, in order.
+    fn serial_ladder(
+        max: u128,
+        mut probe: impl FnMut(u128) -> Result<Verdict<u128>, AnalysisError>,
+    ) -> Vec<u128> {
+        let mut seq = vec![0];
+        let (mut lo, mut hi) = match probe(0).unwrap() {
+            Verdict::Refuted { witness } => (witness.min(max), max),
+            _ => return seq,
+        };
+        while lo < hi {
+            let t = lo.saturating_mul(2).min(max);
+            if t >= hi {
+                break;
+            }
+            seq.push(t);
+            match probe(t).unwrap() {
+                Verdict::Refuted { witness } => lo = lo.max(witness),
+                _ => {
+                    hi = t;
+                    break;
+                }
+            }
+        }
+        while lo < hi {
+            let t = if hi - lo <= 1 { lo } else { lo + (hi - lo) / 2 };
+            seq.push(t);
+            match probe(t).unwrap() {
+                Verdict::Refuted { witness } => lo = lo.max(witness),
+                _ => hi = t,
+            }
+        }
+        seq
+    }
+
+    /// The thresholds [`search_max_error`] probes with `batch = 1`.
+    fn batch_one_ladder(
+        max: u128,
+        probe: impl FnMut(u128) -> Result<Verdict<u128>, AnalysisError>,
+    ) -> Vec<u128> {
+        let mut seq = Vec::new();
+        let mut probe = each(probe);
+        search_max_error("test", max, None, 1, |ts| {
+            seq.extend_from_slice(ts);
+            probe(ts)
+        })
+        .unwrap();
+        seq
     }
 
     /// `batch = 1` must degenerate to exactly the serial probe sequence:
@@ -466,21 +502,16 @@ mod tests {
     fn batch_one_probes_identical_thresholds_to_serial() {
         for wce in [0u128, 3, 17, 100, 254, 255] {
             let max = 255;
-            let mut serial_seq = Vec::new();
-            let mut oracle_serial = oracle(wce);
-            search_max_error("test", max, |t| {
-                serial_seq.push(t);
-                oracle_serial(t)
-            })
-            .unwrap();
-            let mut batched_seq = Vec::new();
-            let mut oracle_batched = batch_oracle(wce);
-            search_max_error_batched("test", max, 1, |ts| {
-                batched_seq.extend_from_slice(ts);
-                oracle_batched(ts)
-            })
-            .unwrap();
-            assert_eq!(serial_seq, batched_seq, "wce {wce}");
+            assert_eq!(
+                serial_ladder(max, oracle(wce)),
+                batch_one_ladder(max, oracle(wce)),
+                "wce {wce}"
+            );
+            assert_eq!(
+                serial_ladder(max, weak_oracle(wce)),
+                batch_one_ladder(max, weak_oracle(wce)),
+                "weak witnesses, wce {wce}"
+            );
         }
     }
 
@@ -496,20 +527,32 @@ mod tests {
             let max = 65535u128;
             let mut unseeded_probes = 0u32;
             let mut o1 = oracle(wce);
-            let unseeded = search_max_error_in("test", max, None, |t| {
-                unseeded_probes += 1;
-                o1(t)
-            })
+            let unseeded = search_max_error(
+                "test",
+                max,
+                None,
+                1,
+                each(|t| {
+                    unseeded_probes += 1;
+                    o1(t)
+                }),
+            )
             .unwrap();
             // A realistic static window: witnessed lower bound below the
             // true value, sound upper bound above it.
             let window = (wce / 2 + 1, (wce * 2).min(max));
             let mut seeded_probes = 0u32;
             let mut o2 = oracle(wce);
-            let seeded = search_max_error_in("test", max, Some(window), |t| {
-                seeded_probes += 1;
-                o2(t)
-            })
+            let seeded = search_max_error(
+                "test",
+                max,
+                Some(window),
+                1,
+                each(|t| {
+                    seeded_probes += 1;
+                    o2(t)
+                }),
+            )
             .unwrap();
             assert_eq!(unseeded, wce);
             assert_eq!(seeded, wce, "window must not change the result");
@@ -523,9 +566,13 @@ mod tests {
     /// A degenerate window (`lo == hi`) is an exact value: zero probes.
     #[test]
     fn exact_window_needs_no_probes() {
-        let result = search_max_error_in("test", 255, Some((42, 42)), |_| {
-            panic!("no probe may be issued for an exact window")
-        })
+        let result = search_max_error(
+            "test",
+            255,
+            Some((42, 42)),
+            1,
+            each(|_| panic!("no probe may be issued for an exact window")),
+        )
         .unwrap();
         assert_eq!(result, 42);
     }
@@ -538,17 +585,29 @@ mod tests {
             let max = 255;
             let mut plain_seq = Vec::new();
             let mut o1 = oracle(wce);
-            search_max_error("test", max, |t| {
-                plain_seq.push(t);
-                o1(t)
-            })
+            search_max_error(
+                "test",
+                max,
+                None,
+                1,
+                each(|t| {
+                    plain_seq.push(t);
+                    o1(t)
+                }),
+            )
             .unwrap();
             let mut full_seq = Vec::new();
             let mut o2 = oracle(wce);
-            search_max_error_in("test", max, Some((0, max)), |t| {
-                full_seq.push(t);
-                o2(t)
-            })
+            search_max_error(
+                "test",
+                max,
+                Some((0, max)),
+                1,
+                each(|t| {
+                    full_seq.push(t);
+                    o2(t)
+                }),
+            )
             .unwrap();
             assert_eq!(plain_seq, full_seq, "wce {wce}");
         }
@@ -559,13 +618,17 @@ mod tests {
     #[test]
     fn window_clamps_and_bounds_partial_intervals() {
         assert_eq!(
-            search_max_error_in("test", 100, Some((300, 400)), |_| panic!(
-                "clamped to exact"
-            ))
+            search_max_error(
+                "test",
+                100,
+                Some((300, 400)),
+                1,
+                each(|_| panic!("clamped to exact"))
+            )
             .unwrap(),
             100
         );
-        let result = search_max_error_in("test", 1000, Some((10, 500)), |_| interrupted());
+        let result = search_max_error("test", 1000, Some((10, 500)), 1, each(|_| interrupted()));
         match result {
             Err(AnalysisError::Interrupted(p)) => {
                 assert_eq!(p.known_low, 10);
@@ -584,13 +647,19 @@ mod tests {
     fn adversarial_witness_above_max_is_clamped() {
         let wce = 200u128;
         let max = 255u128;
-        let result = search_max_error("test", max, |t| {
-            if wce > t {
-                exceeds(u128::MAX) // wildly out of contract
-            } else {
-                within()
-            }
-        })
+        let result = search_max_error(
+            "test",
+            max,
+            None,
+            1,
+            each(|t| {
+                if wce > t {
+                    exceeds(u128::MAX) // wildly out of contract
+                } else {
+                    within()
+                }
+            }),
+        )
         .unwrap();
         assert!(result <= max);
         assert!(result >= wce, "clamped witness still drives lo past wce");
@@ -604,18 +673,24 @@ mod tests {
         let wce = 50u128;
         let max = 255u128;
         let mut probes = 0u32;
-        let result = search_max_error("test", max, |t| {
-            probes += 1;
-            assert!(
-                probes < 1000,
-                "stale witnesses must not livelock the search"
-            );
-            if wce > t {
-                exceeds(1) // stale: at most the very first witness
-            } else {
-                within()
-            }
-        })
+        let result = search_max_error(
+            "test",
+            max,
+            None,
+            1,
+            each(|t| {
+                probes += 1;
+                assert!(
+                    probes < 1000,
+                    "stale witnesses must not livelock the search"
+                );
+                if wce > t {
+                    exceeds(1) // stale: at most the very first witness
+                } else {
+                    within()
+                }
+            }),
+        )
         .unwrap();
         assert_eq!(result, wce);
     }
@@ -626,14 +701,20 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "out of contract")]
     fn adversarial_witness_above_max_asserts_in_debug() {
-        let _ = search_max_error("test", 255, |_| exceeds(u128::MAX));
+        let _ = search_max_error("test", 255, None, 1, each(|_| exceeds(u128::MAX)));
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "out of contract")]
     fn adversarial_stale_witness_asserts_in_debug() {
-        let _ = search_max_error("test", 255, |t| if t < 50 { exceeds(1) } else { within() });
+        let _ = search_max_error(
+            "test",
+            255,
+            None,
+            1,
+            each(|t| if t < 50 { exceeds(1) } else { within() }),
+        );
     }
 
     // -- satellite: deterministic handling of per-probe interrupts -----
@@ -647,7 +728,7 @@ mod tests {
         let max = 65535u128;
         let mut skipped = 0u32;
         let mut answered = 0u32;
-        let result = search_max_error_batched("test", max, 4, |ts| {
+        let result = search_max_error("test", max, None, 4, |ts| {
             ts.iter()
                 .enumerate()
                 .map(|(lane, &t)| {
@@ -681,7 +762,7 @@ mod tests {
     #[test]
     fn fully_interrupted_round_reports_the_tightest_interval() {
         let max = 65535u128;
-        let result = search_max_error_batched("test", max, 4, |ts| {
+        let result = search_max_error("test", max, None, 4, |ts| {
             ts.iter()
                 .map(|&t| if t == 0 { exceeds(7) } else { interrupted() })
                 .collect()

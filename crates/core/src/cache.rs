@@ -118,7 +118,7 @@ pub enum CachedResult {
 
 /// The cache the analyzers consult. Implementations must be cheap on
 /// the miss path — a lookup happens before every cacheable query — and
-/// thread-safe (portfolio lanes and service workers share one cache).
+/// thread-safe (parallel probes and service workers share one cache).
 pub trait QueryCache: Send + Sync {
     /// Returns the stored result for `key`, if any.
     fn get(&self, key: &QueryKey) -> Option<CachedResult>;

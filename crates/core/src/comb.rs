@@ -8,7 +8,7 @@
 //! provide the average-case metrics (MAE, error rate) that have no
 //! polynomial SAT formulation.
 
-use crate::bound_search::search_max_error_in;
+use crate::bound_search::{each, search_max_error};
 use crate::cache::{cached, metric, CachedResult, QueryKey};
 use crate::engine::{Backend, EngineKind};
 use crate::options::AnalysisOptions;
@@ -92,7 +92,7 @@ impl<'a> CombAnalyzer<'a> {
     }
 
     /// Replaces the full analysis option bundle (resource control,
-    /// certification, portfolio width, sweeping).
+    /// certification, worker count, sweeping).
     pub fn with_options(mut self, options: AnalysisOptions) -> Self {
         self.options = options;
         self
@@ -370,29 +370,35 @@ impl<'a> CombAnalyzer<'a> {
         self.arm_with(&mut solver, ctl);
         let true_lit = enc.lit(axmc_aig::Lit::TRUE);
         let mut sat_calls = 0u64;
-        let value = search_max_error_in("comb.wce", max, window, |t| {
-            sat_calls += 1;
-            let flag = gates::abs_diff_exceeds(&mut solver, &enc.outputs, t, true_lit);
-            match solver.solve_with_assumptions(&[flag]) {
-                SolveResult::Sat => {
-                    let input: Vec<bool> = enc
-                        .inputs
-                        .iter()
-                        .map(|&l| solver.model_lit(l).unwrap_or(false))
-                        .collect();
-                    let witnessed = self.error_on(&input);
-                    debug_assert!(witnessed > t, "miter witness must exceed threshold");
-                    Ok(Verdict::Refuted { witness: witnessed })
+        let value = search_max_error(
+            "comb.wce",
+            max,
+            window,
+            1,
+            each(|t| {
+                sat_calls += 1;
+                let flag = gates::abs_diff_exceeds(&mut solver, &enc.outputs, t, true_lit);
+                match solver.solve_with_assumptions(&[flag]) {
+                    SolveResult::Sat => {
+                        let input: Vec<bool> = enc
+                            .inputs
+                            .iter()
+                            .map(|&l| solver.model_lit(l).unwrap_or(false))
+                            .collect();
+                        let witnessed = self.error_on(&input);
+                        debug_assert!(witnessed > t, "miter witness must exceed threshold");
+                        Ok(Verdict::Refuted { witness: witnessed })
+                    }
+                    SolveResult::Unsat => {
+                        self.certify_unsat(&solver, "a worst-case-error probe")?;
+                        Ok(Verdict::Proved)
+                    }
+                    SolveResult::Unknown => Ok(Verdict::Interrupted {
+                        best_so_far: Partial::trivial(interrupt_of(&solver)),
+                    }),
                 }
-                SolveResult::Unsat => {
-                    self.certify_unsat(&solver, "a worst-case-error probe")?;
-                    Ok(Verdict::Proved)
-                }
-                SolveResult::Unknown => Ok(Verdict::Interrupted {
-                    best_so_far: Partial::trivial(interrupt_of(&solver)),
-                }),
-            }
-        })?;
+            }),
+        )?;
         Ok(ErrorReport {
             value,
             sat_calls,
@@ -466,31 +472,37 @@ impl<'a> CombAnalyzer<'a> {
         self.arm_with(&mut solver, ctl);
         let true_lit = enc.lit(axmc_aig::Lit::TRUE);
         let mut sat_calls = 0u64;
-        let value = search_max_error_in("comb.bit_flip", max, window, |t| {
-            sat_calls += 1;
-            let flag = gates::ugt_const(&mut solver, &enc.outputs, t, true_lit);
-            match solver.solve_with_assumptions(&[flag]) {
-                SolveResult::Sat => {
-                    let input: Vec<bool> = enc
-                        .inputs
-                        .iter()
-                        .map(|&l| solver.model_lit(l).unwrap_or(false))
-                        .collect();
-                    let g = bits_to_u128(&self.golden.eval_comb(&input));
-                    let c = bits_to_u128(&self.candidate.eval_comb(&input));
-                    Ok(Verdict::Refuted {
-                        witness: (g ^ c).count_ones() as u128,
-                    })
+        let value = search_max_error(
+            "comb.bit_flip",
+            max,
+            window,
+            1,
+            each(|t| {
+                sat_calls += 1;
+                let flag = gates::ugt_const(&mut solver, &enc.outputs, t, true_lit);
+                match solver.solve_with_assumptions(&[flag]) {
+                    SolveResult::Sat => {
+                        let input: Vec<bool> = enc
+                            .inputs
+                            .iter()
+                            .map(|&l| solver.model_lit(l).unwrap_or(false))
+                            .collect();
+                        let g = bits_to_u128(&self.golden.eval_comb(&input));
+                        let c = bits_to_u128(&self.candidate.eval_comb(&input));
+                        Ok(Verdict::Refuted {
+                            witness: (g ^ c).count_ones() as u128,
+                        })
+                    }
+                    SolveResult::Unsat => {
+                        self.certify_unsat(&solver, "a bit-flip probe")?;
+                        Ok(Verdict::Proved)
+                    }
+                    SolveResult::Unknown => Ok(Verdict::Interrupted {
+                        best_so_far: Partial::trivial(interrupt_of(&solver)),
+                    }),
                 }
-                SolveResult::Unsat => {
-                    self.certify_unsat(&solver, "a bit-flip probe")?;
-                    Ok(Verdict::Proved)
-                }
-                SolveResult::Unknown => Ok(Verdict::Interrupted {
-                    best_so_far: Partial::trivial(interrupt_of(&solver)),
-                }),
-            }
-        })?;
+            }),
+        )?;
         Ok(ErrorReport {
             value: value as u32,
             sat_calls,

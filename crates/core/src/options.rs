@@ -3,8 +3,7 @@
 //! Budget/certify/jobs/sweep used to drift independently across
 //! `CombAnalyzer`, `SeqAnalyzer`, `InductionOptions` and the CGP search
 //! options. [`AnalysisOptions`] consolidates them: both analyzers accept
-//! it via `with_options`, and the old per-knob builders survive only as
-//! deprecated forwarders.
+//! it via `with_options`.
 
 use crate::cache::CacheHandle;
 use crate::engine::{Backend, DEFAULT_BDD_NODE_LIMIT};
@@ -21,10 +20,13 @@ pub struct AnalysisOptions {
     /// RUP/DRAT checker and replay every counterexample. Rejections
     /// surface as `AnalysisError::CertificateRejected`.
     pub certify: bool,
-    /// Portfolio width for the threshold searches: each round probes up
-    /// to `jobs` speculative thresholds concurrently. `0` is treated as
-    /// `1` (serial). With `jobs >= 2` the `Auto` backend races its two
-    /// engines on concurrent workers instead of staging them.
+    /// Worker threads for the analyses that fan out independent solver
+    /// work: with `jobs >= 2` the `Auto` backend races its two engines on
+    /// concurrent workers instead of staging them, and the total-error
+    /// and error-cycle searches probe up to `jobs` thresholds per round,
+    /// each on its own fresh engine. `0` is treated as `1` (serial). The
+    /// WCE, bit-flip and profile searches always run serially on one warm
+    /// engine, so their reports do not depend on `jobs`.
     pub jobs: usize,
     /// SAT-sweep (FRAIG) the product-machine miter before unrolling.
     pub sweep: bool,
@@ -55,12 +57,6 @@ pub struct AnalysisOptions {
     /// the analysis spawns. Off by default: inprocessing changes solver
     /// growth patterns, which some exact-count regression harnesses pin.
     pub inprocess: bool,
-    /// Share learned clauses between portfolio workers (LBD-filtered,
-    /// RUP-validated on import). Only effective with `jobs >= 2`; off by
-    /// default because under starvation budgets the extra clauses can
-    /// shift *which* probes finish, making `Unknown` outcomes
-    /// timing-dependent. Final certified verdicts are unaffected.
-    pub share: bool,
 }
 
 impl Default for AnalysisOptions {
@@ -76,7 +72,6 @@ impl Default for AnalysisOptions {
             search_window: None,
             static_tier: true,
             inprocess: false,
-            share: false,
         }
     }
 }
@@ -126,7 +121,7 @@ impl AnalysisOptions {
         self
     }
 
-    /// Sets the portfolio width (clamped to at least 1).
+    /// Sets the worker count (clamped to at least 1).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
@@ -179,18 +174,9 @@ impl AnalysisOptions {
         self
     }
 
-    /// Enables or disables learned-clause sharing between portfolio
-    /// workers (see [`axmc_sat::ShareRing`]).
-    pub fn with_clause_sharing(mut self, on: bool) -> Self {
-        self.share = on;
-        self
-    }
-
     /// The [`SolverConfig`](axmc_sat::SolverConfig) these options imply
     /// for one SAT engine: resource control, proof logging when
-    /// certifying, and inprocessing when enabled. Clause sharing is
-    /// attached separately per portfolio lane (each worker needs its own
-    /// [`ShareHandle`](axmc_sat::ShareHandle)).
+    /// certifying, and inprocessing when enabled.
     pub fn solver_config(&self) -> axmc_sat::SolverConfig {
         let mut config = axmc_sat::SolverConfig::new()
             .with_ctl(self.ctl.clone())
@@ -201,7 +187,7 @@ impl AnalysisOptions {
         config
     }
 
-    /// The effective portfolio width (at least 1).
+    /// The effective worker count (at least 1).
     pub fn effective_jobs(&self) -> usize {
         self.jobs.max(1)
     }
@@ -251,20 +237,15 @@ mod tests {
     #[test]
     fn solver_config_reflects_the_engine_knobs() {
         let opts = AnalysisOptions::new();
-        assert!(!opts.inprocess && !opts.share, "speed knobs default off");
+        assert!(!opts.inprocess, "inprocessing defaults off");
         let opts = opts
             .with_certify(true)
             .with_inprocessing(true)
-            .with_clause_sharing(true)
             .with_budget(Budget::unlimited().with_conflicts(42));
         let config = opts.solver_config();
         assert!(config.proof_logging(), "certify implies proof logging");
         assert!(config.inprocess().is_some());
         assert_eq!(config.ctl().budget().max_conflicts(), Some(42));
-        assert!(
-            config.share().is_none(),
-            "share lanes are attached per worker, not via solver_config"
-        );
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! * **earliest error** — the first cycle in which the outputs can differ
 //!   at all (incremental BMC over the strict sequential miter);
 //! * **WCE@k** — the precise worst-case arithmetic error over all input
-//!   sequences and all cycles `<= k` (counterexample-guided binary search,
-//!   each probe a BMC run over a threshold miter);
+//!   sequences and all cycles `<= k` (counterexample-guided galloping
+//!   search whose probes ask "can the error exceed `t` in cycle `f`?" one
+//!   frame at a time, first frame first, on one warm BMC unrolling);
 //! * **bit-flip@k** — the analogous Hamming-distance metric;
 //! * **total error@k** — the maximum accumulated sum of per-cycle errors
 //!   (the general accumulating-miter scheme);
@@ -23,8 +24,27 @@
 //! exhausted budget or raised cancellation token surfaces as
 //! [`AnalysisError::Interrupted`] (or an `Interrupted` [`Verdict`]) whose
 //! payload carries the tightest certified bounds reached so far.
+//!
+//! # Threshold probes
+//!
+//! The WCE, bit-flip and profile searches each run on **one** warm
+//! engine: the product machine is unrolled into one incremental solver,
+//! and a probe "can the per-cycle word exceed `t` in any cycle `<= k`?"
+//! asks the frames one at a time, first frame first, each under the
+//! single assumption `exceeds_f(t)`. A satisfiable frame ends the probe
+//! with a witnessing trace. An unsatisfiable one proves `word_f <= t`;
+//! the engine keeps `¬exceeds_f(t)` as a derived root unit, so the
+//! bound is propagated while the next frame is asked, and remembers it,
+//! so a later probe at any `t' >= t` skips the frame without a solve.
+//! Asking the frames in order is what makes this cheap: one solve over
+//! the OR of all k+1 comparators must refute every frame in a single
+//! search and cannot use frame f's bound while working on frame f+1.
+//!
+//! Searches are serial, so a report (value, probes, conflicts) is the
+//! same for every `jobs` value; `jobs` still fans out the total-error
+//! and error-cycle searches, whose probes each build a fresh engine.
 
-use crate::bound_search::{search_max_error_batched, search_max_error_batched_in};
+use crate::bound_search::{each, search_max_error};
 use crate::cache::{cached, metric, CachedResult, QueryKey};
 use crate::engine::{Backend, EngineKind};
 use crate::options::AnalysisOptions;
@@ -40,7 +60,7 @@ use axmc_miter::{
     accumulated_error_miter, error_cycle_count_miter, sequential_diff_miter,
     sequential_diff_word_miter, sequential_popcount_word_miter, sequential_strict_miter,
 };
-use axmc_sat::{Interrupt, SolveResult};
+use axmc_sat::{Budget, Interrupt, Lit, ResourceCtl, SolveResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How one persistent threshold probe interprets the miter's output word.
@@ -53,18 +73,28 @@ enum WordKind {
 }
 
 /// A persistent incremental engine for threshold probes over a BMC
-/// unrolling: the product machine is encoded **once**; every probe only
-/// adds a small comparator at the clause level and solves under an
-/// assumption, so learnt clauses amortize across the entire search.
-///
-/// Cloning duplicates the whole warmed-up solver state, which is how a
-/// portfolio of speculative probes gets one independent engine per lane
-/// without re-encoding the product machine. Clones share the control's
-/// cancellation token, so one `cancel()` stops the whole pool.
-#[derive(Clone)]
+/// unrolling: the product machine is encoded **once**; every frame a
+/// probe asks adds a small comparator at the clause level and solves
+/// under one assumption, so learnt clauses and proven per-frame bounds
+/// amortize across the entire search (see the module docs).
 struct ThresholdEngine {
     unroller: Unroller,
     kind: WordKind,
+    /// Per frame, the smallest `t` for which `word_f <= t` is proved and
+    /// held as the derived unit `¬exceeds_f(t)`; a probe at any
+    /// threshold `>= t` skips the frame. In certified mode only bounds
+    /// a DRAT check has already covered are entered here.
+    proved: Vec<Option<u128>>,
+    /// Certified mode: `(frame, t)` bounds proved since the last DRAT
+    /// check. The next check replays their derived clauses and moves
+    /// them into `proved`.
+    unchecked: Vec<(usize, u128)>,
+    /// Solver calls issued by probes.
+    frame_solves: u64,
+    /// Frames answered from a proven bound instead of a solve.
+    frames_reused: u64,
+    /// DRAT checks run (certified mode).
+    checks: u64,
 }
 
 impl ThresholdEngine {
@@ -84,56 +114,163 @@ impl ThresholdEngine {
             Unroller::new(miter)
         };
         unroller.configure(&options.solver_config());
-        ThresholdEngine { unroller, kind }
+        ThresholdEngine {
+            unroller,
+            kind,
+            proved: Vec::new(),
+            unchecked: Vec::new(),
+            frame_solves: 0,
+            frames_reused: 0,
+            checks: 0,
+        }
     }
 
     /// Can the per-cycle word exceed `threshold` in any cycle `<= k`?
+    ///
+    /// The frames are asked first to last. The solver's resource control
+    /// governs the whole probe: each frame's solve gets the conflict and
+    /// propagation budget the earlier frames left, and the per-call
+    /// timeout runs from the start of the probe. In certified mode a
+    /// probe that solved at least one frame ends `Proved` only after one
+    /// DRAT check, which covers every frame's derived bound.
     fn probe(&mut self, threshold: u128, k: usize) -> Result<Verdict<Trace>, AnalysisError> {
         self.unroller.extend_to(k + 1);
-        let true_lit = self.unroller.true_lit();
-        let mut flags = Vec::with_capacity(k + 1);
-        for frame in 0..=k {
-            let word = self.unroller.frame(frame).outputs.clone();
-            let solver = self.unroller.solver_mut();
-            let flag = match self.kind {
-                WordKind::SignedDiff => gates::abs_diff_exceeds(solver, &word, threshold, true_lit),
-                WordKind::Unsigned => gates::ugt_const(solver, &word, threshold, true_lit),
-            };
-            flags.push(flag);
+        if self.proved.len() <= k {
+            self.proved.resize(k + 1, None);
         }
-        let solver = self.unroller.solver_mut();
-        let any = gates::or_all(solver, &flags, true_lit);
-        match solver.solve_with_assumptions(&[any]) {
-            SolveResult::Sat => Ok(Verdict::Refuted {
-                witness: self.unroller.extract_trace(k),
-            }),
-            SolveResult::Unsat => {
-                if self.unroller.certify() {
-                    if let Err(e) = axmc_check::certify_unsat(self.unroller.solver()) {
-                        return Err(AnalysisError::CertificateRejected {
-                            engine: "seq".to_string(),
-                            detail: format!(
-                                "UNSAT certificate for a threshold probe (t={threshold}, \
-                                 k={k}) failed validation ({e})"
-                            ),
-                        });
+        let base = self.unroller.solver().ctl().clone();
+        let verdict = self.probe_frames(threshold, k, &base);
+        self.set_ctl(base);
+        verdict
+    }
+
+    fn probe_frames(
+        &mut self,
+        threshold: u128,
+        k: usize,
+        base: &ResourceCtl,
+    ) -> Result<Verdict<Trace>, AnalysisError> {
+        let start = *self.unroller.solver().stats();
+        let deadline = base.call_deadline();
+        let mut solved = false;
+        for frame in 0..=k {
+            if self.proved[frame].is_some_and(|bound| bound <= threshold) {
+                self.frames_reused += 1;
+                if axmc_obs::enabled() {
+                    axmc_obs::counter("seq.probe.frames_reused").inc();
+                }
+                continue;
+            }
+            let spent = *self.unroller.solver().stats();
+            let budget = match remaining_budget(
+                base.budget(),
+                spent.conflicts - start.conflicts,
+                spent.propagations - start.propagations,
+            ) {
+                Ok(budget) => budget,
+                Err(reason) => return Ok(interrupted(reason)),
+            };
+            let mut ctl = base.clone().with_budget(budget);
+            if let Some(deadline) = deadline {
+                ctl = ctl.with_deadline(deadline);
+            }
+            self.set_ctl(ctl);
+            let flag = self.exceeds(frame, threshold);
+            self.frame_solves += 1;
+            if axmc_obs::enabled() {
+                axmc_obs::counter("seq.probe.frame_solves").inc();
+            }
+            let solver = self.unroller.solver_mut();
+            match solver.solve_with_assumptions(&[flag]) {
+                SolveResult::Sat => {
+                    return Ok(Verdict::Refuted {
+                        witness: self.unroller.extract_trace(k),
+                    })
+                }
+                SolveResult::Unsat => {
+                    solver.add_derived_clause(&[!flag]);
+                    solved = true;
+                    if self.unroller.certify() {
+                        self.unchecked.push((frame, threshold));
+                    } else {
+                        self.proved[frame] = Some(threshold);
                     }
                 }
-                Ok(Verdict::Proved)
+                SolveResult::Unknown => {
+                    return Ok(interrupted(
+                        solver.last_interrupt().unwrap_or(Interrupt::Conflicts),
+                    ))
+                }
             }
-            SolveResult::Unknown => Ok(Verdict::Interrupted {
-                best_so_far: Partial::trivial(
-                    self.unroller
-                        .solver()
-                        .last_interrupt()
-                        .unwrap_or(Interrupt::Conflicts),
-                ),
-            }),
         }
+        if solved && self.unroller.certify() {
+            self.checks += 1;
+            if let Err(e) = axmc_check::certify_unsat(self.unroller.solver()) {
+                return Err(AnalysisError::CertificateRejected {
+                    engine: "seq".to_string(),
+                    detail: format!(
+                        "UNSAT certificate for a threshold probe (t={threshold}, \
+                         k={k}) failed validation ({e})"
+                    ),
+                });
+            }
+            for (frame, bound) in self.unchecked.drain(..) {
+                let slot = &mut self.proved[frame];
+                *slot = Some(slot.map_or(bound, |b| b.min(bound)));
+            }
+        }
+        Ok(Verdict::Proved)
+    }
+
+    /// The comparator literal `word_frame > threshold`, built fresh over
+    /// the frame's output literals.
+    fn exceeds(&mut self, frame: usize, threshold: u128) -> Lit {
+        let true_lit = self.unroller.true_lit();
+        let word = self.unroller.frame(frame).outputs.clone();
+        let solver = self.unroller.solver_mut();
+        match self.kind {
+            WordKind::SignedDiff => gates::abs_diff_exceeds(solver, &word, threshold, true_lit),
+            WordKind::Unsigned => gates::ugt_const(solver, &word, threshold, true_lit),
+        }
+    }
+
+    /// Replaces the resource control, keeping every other solver knob.
+    fn set_ctl(&mut self, ctl: ResourceCtl) {
+        let config = self.unroller.solver().current_config().with_ctl(ctl);
+        self.unroller.configure(&config);
     }
 
     fn conflicts(&self) -> u64 {
         self.unroller.solver().stats().conflicts
+    }
+}
+
+/// What is left of a probe's `budget` after its earlier frames spent
+/// `conflicts` and `propagations`, or the limit that ran out.
+fn remaining_budget(
+    budget: Budget,
+    conflicts: u64,
+    propagations: u64,
+) -> Result<Budget, Interrupt> {
+    let mut left = Budget::unlimited();
+    if let Some(max) = budget.max_conflicts() {
+        if conflicts >= max {
+            return Err(Interrupt::Conflicts);
+        }
+        left = left.with_conflicts(max - conflicts);
+    }
+    if let Some(max) = budget.max_propagations() {
+        if propagations >= max {
+            return Err(Interrupt::Propagations);
+        }
+        left = left.with_propagations(max - propagations);
+    }
+    Ok(left)
+}
+
+fn interrupted(reason: Interrupt) -> Verdict<Trace> {
+    Verdict::Interrupted {
+        best_so_far: Partial::trivial(reason),
     }
 }
 
@@ -194,7 +331,7 @@ impl<'a> SeqAnalyzer<'a> {
     }
 
     /// Replaces the full analysis option bundle (resource control,
-    /// certification, portfolio width, sweeping).
+    /// certification, worker count, sweeping).
     pub fn with_options(mut self, options: AnalysisOptions) -> Self {
         self.options = options;
         self
@@ -214,35 +351,6 @@ impl<'a> SeqAnalyzer<'a> {
     /// horizon.
     fn static_word_interval(miter: &Aig) -> Option<(u128, u128)> {
         axmc_absint::TernaryAnalysis::fixpoint(miter).output_interval(miter)
-    }
-
-    /// One warmed-up engine per portfolio lane, all starting from the
-    /// same encoded product machine. With clause sharing enabled and at
-    /// least two lanes, every lane is attached to one fresh
-    /// [`ShareRing`](axmc_sat::ShareRing): the lanes are clones of one
-    /// prototype, so the variables existing at pool-creation time are
-    /// encoded identically everywhere and safe to share over.
-    fn engine_pool(&self, prototype: ThresholdEngine) -> Vec<ThresholdEngine> {
-        let jobs = self.options.effective_jobs();
-        let mut pool = Vec::with_capacity(jobs);
-        pool.push(prototype);
-        while pool.len() < jobs {
-            let clone = pool[0].clone();
-            pool.push(clone);
-        }
-        if self.options.share && jobs > 1 {
-            let ring = axmc_sat::ShareRing::new();
-            let shared_vars = pool[0].unroller.solver().num_vars();
-            for (lane, engine) in pool.iter_mut().enumerate() {
-                let config = engine
-                    .unroller
-                    .solver()
-                    .current_config()
-                    .with_share(ring.handle(lane, shared_vars));
-                engine.unroller.configure(&config);
-            }
-        }
-        pool
     }
 
     /// Finds the earliest cycle (up to `max_cycles - 1`) in which the two
@@ -298,6 +406,18 @@ impl<'a> SeqAnalyzer<'a> {
         og.iter()
             .zip(&oc)
             .map(|(g, c)| bits_to_u128(g).abs_diff(bits_to_u128(c)))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Replays a trace on both circuits and returns the maximum per-cycle
+    /// Hamming distance of the outputs.
+    fn trace_bit_flips(&self, trace: &Trace) -> u128 {
+        let og = trace.replay(self.golden);
+        let oc = trace.replay(self.approx);
+        og.iter()
+            .zip(&oc)
+            .map(|(g, c)| (bits_to_u128(g) ^ bits_to_u128(c)).count_ones() as u128)
             .max()
             .unwrap_or(0)
     }
@@ -366,9 +486,8 @@ impl<'a> SeqAnalyzer<'a> {
     }
 
     /// The precise worst-case error over all cycles `<= k`, via
-    /// counterexample-guided galloping search over BMC probes. With
-    /// `jobs` above 1 in the options the probes run as a speculative
-    /// portfolio on cloned engines.
+    /// counterexample-guided galloping search over per-frame BMC probes
+    /// on one warm engine.
     ///
     /// # Errors
     ///
@@ -416,22 +535,26 @@ impl<'a> SeqAnalyzer<'a> {
                         }));
                     }
                 }
-                let mut engines = self.engine_pool(self.diff_engine());
-                let sat_calls = AtomicU64::new(0);
-                let value = search_max_error_batched("seq.wce", max, engines.len(), |ts| {
-                    axmc_par::parallel_zip_mut(&mut engines, ts, |_, engine, &t| {
-                        sat_calls.fetch_add(1, Ordering::Relaxed);
+                let mut engine = self.diff_engine();
+                let mut sat_calls = 0;
+                let value = search_max_error(
+                    "seq.wce",
+                    max,
+                    None,
+                    1,
+                    each(|t| {
+                        sat_calls += 1;
                         Ok(engine.probe(t, k)?.map(|trace| {
                             let witnessed = self.trace_error(&trace);
                             debug_assert!(witnessed > t);
                             witnessed
                         }))
-                    })
-                })?;
+                    }),
+                )?;
                 Ok(ErrorReport {
                     value,
-                    sat_calls: sat_calls.into_inner(),
-                    conflicts: engines.iter().map(ThresholdEngine::conflicts).sum(),
+                    sat_calls,
+                    conflicts: engine.conflicts(),
                     engine: EngineKind::Sat,
                 })
             },
@@ -498,36 +621,24 @@ impl<'a> SeqAnalyzer<'a> {
                         }));
                     }
                 }
-                let mut engines = self.engine_pool(ThresholdEngine::new(
-                    miter,
-                    WordKind::Unsigned,
-                    &self.options,
-                ));
-                let sat_calls = AtomicU64::new(0);
-                let value = search_max_error_batched_in(
+                let mut engine = ThresholdEngine::new(miter, WordKind::Unsigned, &self.options);
+                let mut sat_calls = 0;
+                let value = search_max_error(
                     "seq.bit_flip",
                     max,
-                    engines.len(),
                     window,
-                    |ts| {
-                        axmc_par::parallel_zip_mut(&mut engines, ts, |_, engine, &t| {
-                            sat_calls.fetch_add(1, Ordering::Relaxed);
-                            Ok(engine.probe(t, k)?.map(|trace| {
-                                let og = trace.replay(self.golden);
-                                let oc = trace.replay(self.approx);
-                                og.iter()
-                                    .zip(&oc)
-                                    .map(|(g, c)| (bits_to_u128(g) ^ bits_to_u128(c)).count_ones())
-                                    .max()
-                                    .unwrap_or(0) as u128
-                            }))
-                        })
-                    },
+                    1,
+                    each(|t| {
+                        sat_calls += 1;
+                        Ok(engine
+                            .probe(t, k)?
+                            .map(|trace| self.trace_bit_flips(&trace)))
+                    }),
                 )?;
                 Ok(ErrorReport {
                     value: value as u32,
-                    sat_calls: sat_calls.into_inner(),
-                    conflicts: engines.iter().map(ThresholdEngine::conflicts).sum(),
+                    sat_calls,
+                    conflicts: engine.conflicts(),
                     engine: EngineKind::Sat,
                 })
             },
@@ -535,8 +646,9 @@ impl<'a> SeqAnalyzer<'a> {
     }
 
     /// The per-horizon worst-case error profile `WCE@0 .. WCE@k`, computed
-    /// incrementally (each horizon's search starts from the previous
-    /// value as lower bound).
+    /// incrementally on one engine (each horizon's search starts from the
+    /// previous value as lower bound, and the earlier frames' proven
+    /// bounds answer their part of every later probe).
     ///
     /// # Errors
     ///
@@ -550,31 +662,32 @@ impl<'a> SeqAnalyzer<'a> {
             (1u128 << m) - 1
         };
         let mut profile = Vec::with_capacity(k + 1);
-        let sat_calls = AtomicU64::new(0);
+        let mut sat_calls = 0;
         let mut prev: u128 = 0;
-        let mut engines = self.engine_pool(self.diff_engine());
+        let mut engine = self.diff_engine();
         for horizon in 0..=k {
             // WCE@horizon >= WCE@(horizon-1): probes below `prev` are
             // answered from the invariant without touching the solver.
             let floor = prev;
-            let value = search_max_error_batched("seq.profile", max, engines.len(), |ts| {
-                axmc_par::parallel_zip_mut(&mut engines, ts, |_, engine, &t| {
+            let value = search_max_error(
+                "seq.profile",
+                max,
+                None,
+                1,
+                each(|t| {
                     if t < floor {
                         return Ok(Verdict::Refuted { witness: floor });
                     }
-                    sat_calls.fetch_add(1, Ordering::Relaxed);
+                    sat_calls += 1;
                     Ok(engine
                         .probe(t, horizon)?
                         .map(|trace| self.trace_error(&trace)))
-                })
-            })?;
+                }),
+            )?;
             prev = value;
             profile.push(value);
         }
-        Ok(ErrorProfile {
-            profile,
-            sat_calls: sat_calls.into_inner(),
-        })
+        Ok(ErrorProfile { profile, sat_calls })
     }
 
     /// Attempts to prove the **unbounded** bound `G (|error| <= threshold)`
@@ -680,8 +793,8 @@ impl<'a> SeqAnalyzer<'a> {
         let sat_calls = AtomicU64::new(0);
         let jobs = self.options.effective_jobs();
         // Each probe builds its own accumulating miter + BMC instance, so
-        // the portfolio shape here is a plain parallel map.
-        let value = search_max_error_batched("seq.total", max, jobs, |ts| {
+        // a round's probes run as a plain parallel map.
+        let value = search_max_error("seq.total", max, None, jobs, |ts| {
             axmc_par::parallel_map(jobs, ts, |_, &t| {
                 sat_calls.fetch_add(1, Ordering::Relaxed);
                 Ok(self
@@ -774,7 +887,7 @@ impl<'a> SeqAnalyzer<'a> {
         let sat_calls = AtomicU64::new(0);
         let max = (k + 1) as u128;
         let jobs = self.options.effective_jobs();
-        let value = search_max_error_batched("seq.error_cycles", max, jobs, |ts| {
+        let value = search_max_error("seq.error_cycles", max, None, jobs, |ts| {
             axmc_par::parallel_map(jobs, ts, |_, &t| {
                 sat_calls.fetch_add(1, Ordering::Relaxed);
                 Ok(self
@@ -841,10 +954,12 @@ impl<'a> SeqAnalyzer<'a> {
 /// pair, opened with [`SeqAnalyzer::probe_session`].
 ///
 /// The product-machine difference miter is encoded into an incremental
-/// solver exactly once; every probe extends the unrolling as needed and
-/// adds only a small comparator, so learnt clauses and frames amortize
-/// across arbitrarily many queries. Cloning duplicates the entire warmed
-/// solver state.
+/// solver exactly once. Every probe extends the unrolling as needed and
+/// asks the frames one at a time, first frame first (see the module
+/// docs), so learnt clauses, frames and the per-frame bounds earlier
+/// probes proved all carry over to later queries: a frame already proved
+/// within `t' <= t` costs no solve at all. The proven bounds live inside
+/// the session, so they follow its pool key.
 ///
 /// Two properties matter to pooling layers (such as `axmc serve`):
 ///
@@ -854,8 +969,8 @@ impl<'a> SeqAnalyzer<'a> {
 ///   instances per `(pair, certified)`.
 /// * **Resource control is re-armable.** [`SeqProbe::set_ctl`] replaces
 ///   the deadline/budget/cancellation bundle, letting a pooled instance
-///   serve requests with different resource envelopes.
-#[derive(Clone)]
+///   serve requests with different resource envelopes. The budget and
+///   the per-call timeout bound each probe as a whole.
 pub struct SeqProbe {
     engine: ThresholdEngine,
 }
@@ -882,9 +997,8 @@ impl SeqProbe {
     /// applied to subsequent probes — re-arm a pooled instance before
     /// each checkout. Every other knob (certification, inprocessing)
     /// is preserved.
-    pub fn set_ctl(&mut self, ctl: axmc_sat::ResourceCtl) {
-        let config = self.engine.unroller.solver().current_config().with_ctl(ctl);
-        self.engine.unroller.configure(&config);
+    pub fn set_ctl(&mut self, ctl: ResourceCtl) {
+        self.engine.set_ctl(ctl);
     }
 
     /// Total solver conflicts accumulated across the session so far.
@@ -1233,10 +1347,11 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_jobs_match_serial_values() {
-        // The portfolio merges speculative answers deterministically:
-        // every metric must come out identical to the serial search for
-        // any jobs value.
+    fn jobs_values_match_serial_values() {
+        // The WCE and bit-flip searches run on one engine whatever
+        // `jobs` says, so their whole reports are identical; the total
+        // and error-cycle searches merge parallel answers
+        // deterministically, so their values are.
         let width = 4;
         let golden = accumulator(&generators::ripple_carry_adder(width), width);
         let apx = accumulator(&approx::lower_or_adder(width, 2), width);
@@ -1245,13 +1360,13 @@ mod tests {
             let par = SeqAnalyzer::new(&golden, &apx)
                 .with_options(AnalysisOptions::new().with_jobs(jobs));
             assert_eq!(
-                serial.worst_case_error_at(3).unwrap().value,
-                par.worst_case_error_at(3).unwrap().value,
+                serial.worst_case_error_at(3).unwrap(),
+                par.worst_case_error_at(3).unwrap(),
                 "wce, jobs {jobs}"
             );
             assert_eq!(
-                serial.bit_flip_error_at(3).unwrap().value,
-                par.bit_flip_error_at(3).unwrap().value,
+                serial.bit_flip_error_at(3).unwrap(),
+                par.bit_flip_error_at(3).unwrap(),
                 "bit flip, jobs {jobs}"
             );
             assert_eq!(
@@ -1273,10 +1388,10 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhaustion_in_portfolio_is_deterministic() {
-        // With a starvation budget, a portfolio run either brackets the
-        // metric from the lanes that finished or reports exhaustion —
-        // and repeated runs with the same jobs value agree exactly.
+    fn budget_exhaustion_is_deterministic() {
+        // With a starvation budget, a run either brackets the metric
+        // from the probes that finished or reports exhaustion — and
+        // repeated runs agree exactly.
         let width = 4;
         let golden = accumulator(&generators::ripple_carry_adder(width), width);
         let apx = accumulator(&approx::truncated_adder(width, 2), width);
@@ -1371,37 +1486,6 @@ mod tests {
     }
 
     #[test]
-    fn clause_sharing_preserves_every_jobs_value() {
-        // Sharing changes which learnt clauses a lane holds, never a
-        // verdict: with unlimited budgets, every metric value must be
-        // identical to the serial run for every jobs value, sharing on
-        // or off.
-        let width = 4;
-        let golden = accumulator(&generators::ripple_carry_adder(width), width);
-        let apx = accumulator(&approx::lower_or_adder(width, 2), width);
-        let serial = SeqAnalyzer::new(&golden, &apx);
-        let wce = serial.worst_case_error_at(3).unwrap().value;
-        let flips = serial.bit_flip_error_at(3).unwrap().value;
-        for jobs in [1usize, 2, 4] {
-            let sharing = SeqAnalyzer::new(&golden, &apx).with_options(
-                AnalysisOptions::new()
-                    .with_jobs(jobs)
-                    .with_clause_sharing(true),
-            );
-            assert_eq!(
-                sharing.worst_case_error_at(3).unwrap().value,
-                wce,
-                "wce, sharing on, jobs {jobs}"
-            );
-            assert_eq!(
-                sharing.bit_flip_error_at(3).unwrap().value,
-                flips,
-                "bit flip, sharing on, jobs {jobs}"
-            );
-        }
-    }
-
-    #[test]
     fn inprocessing_preserves_certified_analysis() {
         // Inprocessing rewrites the clause database between solves; with
         // certification on, every UNSAT answer behind these metrics is
@@ -1428,7 +1512,7 @@ mod tests {
     }
 
     #[test]
-    fn sharing_and_inprocessing_compose_under_a_portfolio() {
+    fn inprocessing_and_certification_compose_with_jobs() {
         let width = 4;
         let golden = accumulator(&generators::ripple_carry_adder(width), width);
         let apx = accumulator(&approx::truncated_adder(width, 2), width);
@@ -1436,7 +1520,6 @@ mod tests {
         let tuned = SeqAnalyzer::new(&golden, &apx).with_options(
             AnalysisOptions::new()
                 .with_jobs(3)
-                .with_clause_sharing(true)
                 .with_inprocessing(true)
                 .with_certify(true),
         );
@@ -1499,11 +1582,10 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_stops_all_portfolio_workers() {
+    fn cancel_token_stops_a_running_search() {
         // A 20-bit accumulator WCE search takes far longer than the
         // cancellation delay; raising the token from another thread must
-        // stop every cloned portfolio engine promptly with a typed
-        // Cancelled interrupt.
+        // stop the search promptly with a typed Cancelled interrupt.
         let width = 20;
         let golden = accumulator(&generators::ripple_carry_adder(width), width);
         let apx = accumulator(&approx::truncated_adder(width, 10), width);
@@ -1565,5 +1647,240 @@ mod tests {
             plain.error_profile(4).unwrap().profile,
             timed.error_profile(4).unwrap().profile
         );
+    }
+
+    // -- per-frame probes ------------------------------------------------
+
+    /// The threshold probe as it shipped before per-frame probes: one
+    /// solve over the OR of every frame's comparator, on a plain
+    /// unrolling. The reference the per-frame engine must agree with.
+    struct OrProbe {
+        unroller: Unroller,
+        kind: WordKind,
+    }
+
+    impl OrProbe {
+        fn new(miter: &Aig, kind: WordKind) -> Self {
+            OrProbe {
+                unroller: Unroller::new(miter.compact()),
+                kind,
+            }
+        }
+
+        /// A trace whose word exceeds `t` in some cycle `<= k`, if any.
+        fn probe(&mut self, t: u128, k: usize) -> Option<Trace> {
+            self.unroller.extend_to(k + 1);
+            let true_lit = self.unroller.true_lit();
+            let mut flags = Vec::with_capacity(k + 1);
+            for frame in 0..=k {
+                let word = self.unroller.frame(frame).outputs.clone();
+                let solver = self.unroller.solver_mut();
+                flags.push(match self.kind {
+                    WordKind::SignedDiff => gates::abs_diff_exceeds(solver, &word, t, true_lit),
+                    WordKind::Unsigned => gates::ugt_const(solver, &word, t, true_lit),
+                });
+            }
+            let solver = self.unroller.solver_mut();
+            let any = gates::or_all(solver, &flags, true_lit);
+            match solver.solve_with_assumptions(&[any]) {
+                SolveResult::Sat => Some(self.unroller.extract_trace(k)),
+                SolveResult::Unsat => None,
+                SolveResult::Unknown => unreachable!("the reference runs unbudgeted"),
+            }
+        }
+
+        /// The metric's maximum over cycles `<= k`, by witness ascent:
+        /// probe at the best witnessed value until nothing exceeds it.
+        fn max(&mut self, k: usize, metric: impl Fn(&Trace) -> u128) -> u128 {
+            let mut best = 0;
+            while let Some(trace) = self.probe(best, k) {
+                let witnessed = metric(&trace);
+                assert!(witnessed > best, "reference witness must exceed {best}");
+                best = witnessed;
+            }
+            best
+        }
+    }
+
+    /// Every design family of the standard suite at operand width 4
+    /// (multipliers at 2). `standard_suite` itself needs a width of at
+    /// least 8; at 4 its two counter variants coincide, so names are
+    /// deduplicated.
+    fn small_suite() -> Vec<axmc_seq::BenchmarkPair> {
+        use axmc_seq::suite::*;
+        let mut suite = adder_benchmarks(4);
+        suite.extend(multiplier_benchmarks(2));
+        suite.extend(counter_benchmarks(4));
+        suite.extend(comparator_benchmarks(4));
+        suite.extend(pulse_counter_benchmarks(4));
+        let mut seen = std::collections::HashSet::new();
+        suite.retain(|p| seen.insert(p.name.clone()));
+        suite
+    }
+
+    #[test]
+    fn per_frame_probes_match_the_or_probe_reference() {
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut reused = 0;
+        for pair in small_suite() {
+            let (golden, apx) = (&pair.golden, &pair.approx);
+            let analyzer = SeqAnalyzer::new(golden, apx);
+            let mut wce_ref = OrProbe::new(
+                &sequential_diff_word_miter(golden, apx),
+                WordKind::SignedDiff,
+            );
+            let mut flips_ref = OrProbe::new(
+                &sequential_popcount_word_miter(golden, apx),
+                WordKind::Unsigned,
+            );
+            let mut wce_at = Vec::new();
+            for k in 0..=5 {
+                let wce = wce_ref.max(k, |t| analyzer.trace_error(t));
+                let flips = flips_ref.max(k, |t| analyzer.trace_bit_flips(t));
+                let name = &pair.name;
+                assert_eq!(
+                    analyzer.worst_case_error_at(k).unwrap().value,
+                    wce,
+                    "{name} wce@{k}"
+                );
+                assert_eq!(
+                    analyzer.bit_flip_error_at(k).unwrap().value as u128,
+                    flips,
+                    "{name} bit-flip@{k}"
+                );
+                wce_at.push(wce);
+            }
+            // One session answers every (t, k) in a shuffled order, so
+            // bounds proven at one threshold and horizon are reused at
+            // the others.
+            let mut queries: Vec<(u128, usize)> = (0..=5)
+                .flat_map(|k| {
+                    let wce = wce_at[k];
+                    [wce.checked_sub(1), Some(0), Some(wce), Some(wce + 1)]
+                        .into_iter()
+                        .flatten()
+                        .map(move |t| (t, k))
+                })
+                .collect();
+            for i in (1..queries.len()).rev() {
+                queries.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let mut probe = analyzer.probe_session();
+            for (t, k) in queries {
+                let exceeds = wce_at[k] > t;
+                match probe.check_error_exceeds(t, k).unwrap() {
+                    Verdict::Refuted { witness } => {
+                        assert!(
+                            exceeds,
+                            "{} t={t} k={k}: refuted, reference proved",
+                            pair.name
+                        );
+                        assert!(analyzer.trace_error(&witness) > t);
+                    }
+                    Verdict::Proved => {
+                        assert!(
+                            !exceeds,
+                            "{} t={t} k={k}: proved, reference refuted",
+                            pair.name
+                        )
+                    }
+                    Verdict::Interrupted { .. } => panic!("unbudgeted probes must finish"),
+                }
+            }
+            reused += probe.engine.frames_reused;
+        }
+        assert!(reused > 0, "the shuffled queries must exercise bound reuse");
+    }
+
+    #[test]
+    fn probe_budget_bounds_the_whole_probe() {
+        let width = 4;
+        let golden = accumulator(&generators::ripple_carry_adder(width), width);
+        let apx = accumulator(&approx::lower_or_adder(width, 2), width);
+        let analyzer = SeqAnalyzer::new(&golden, &apx);
+        let k = 5;
+        let wce = analyzer.worst_case_error_at(k).unwrap().value;
+        let mut free = analyzer.probe_session();
+        assert!(free.check_error_exceeds(wce, k).unwrap().is_proved());
+        let needed = free.conflicts();
+        assert!(
+            free.engine.frame_solves > 1 && needed > 2,
+            "the proof must span several frames and conflicts"
+        );
+        for budget in [1, needed / 2, needed - 1] {
+            let mut probe = analyzer.probe_session();
+            probe.set_ctl(
+                ResourceCtl::unlimited().with_budget(Budget::unlimited().with_conflicts(budget)),
+            );
+            let verdict = probe.check_error_exceeds(wce, k).unwrap();
+            assert!(
+                verdict.is_interrupted(),
+                "budget {budget} < {needed} must interrupt"
+            );
+            assert!(
+                probe.conflicts() <= budget,
+                "budget {budget}: the probe spent {} conflicts",
+                probe.conflicts()
+            );
+        }
+        // A spent budget stops the probe before it asks the next frame,
+        // even one that would need no conflict; one conflict to spare is
+        // enough, and the budget does not steer the search.
+        let mut spare = analyzer.probe_session();
+        spare.set_ctl(
+            ResourceCtl::unlimited().with_budget(Budget::unlimited().with_conflicts(needed + 1)),
+        );
+        assert!(spare.check_error_exceeds(wce, k).unwrap().is_proved());
+        assert_eq!(spare.conflicts(), needed);
+        // The per-call timeout runs from the start of the probe: at zero
+        // the first frame is already out of time.
+        let mut timed = analyzer.probe_session();
+        timed.set_ctl(ResourceCtl::unlimited().with_query_timeout(Duration::ZERO));
+        match timed.check_error_exceeds(wce, k).unwrap() {
+            Verdict::Interrupted { best_so_far } => {
+                assert_eq!(best_so_far.reason, Some(Interrupt::Deadline))
+            }
+            other => panic!("expected a deadline interruption, got {other:?}"),
+        }
+        assert_eq!(timed.conflicts(), 0);
+    }
+
+    #[test]
+    fn certified_probes_check_once_and_reuse_checked_bounds() {
+        let width = 4;
+        let golden = accumulator(&generators::ripple_carry_adder(width), width);
+        let apx = accumulator(&approx::lower_or_adder(width, 2), width);
+        let analyzer =
+            SeqAnalyzer::new(&golden, &apx).with_options(AnalysisOptions::new().with_certify(true));
+        let k = 4;
+        let wce = analyzer.worst_case_error_at(k).unwrap().value;
+        assert!(wce > 0);
+        let mut probe = analyzer.probe_session();
+        let solves = |p: &SeqProbe| p.engine.unroller.solver().stats().solves;
+
+        // A refuted probe runs no check; the bounds it proved on the way
+        // stay unchecked, so they are not reused yet.
+        assert!(probe.check_error_exceeds(wce - 1, k).unwrap().is_refuted());
+        assert_eq!(probe.engine.checks, 0);
+        assert_eq!(probe.engine.frames_reused, 0);
+
+        // The probe at the WCE solves frames and ends with exactly one
+        // DRAT check, which covers every frame's derived bound.
+        assert!(probe.check_error_exceeds(wce, k).unwrap().is_proved());
+        assert_eq!(probe.engine.checks, 1);
+
+        // Above the WCE every frame is answered from a checked bound:
+        // no solve and no check.
+        let (before, reused) = (solves(&probe), probe.engine.frames_reused);
+        assert!(probe.check_error_exceeds(wce + 1, k).unwrap().is_proved());
+        assert_eq!(solves(&probe), before);
+        assert_eq!(probe.engine.checks, 1);
+        assert_eq!(probe.engine.frames_reused, reused + k as u64 + 1);
     }
 }

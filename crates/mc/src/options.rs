@@ -3,8 +3,8 @@
 //! [`BmcOptions`] is the model-checking counterpart of
 //! [`SolverConfig`]: one builder value carrying
 //! everything that governs a [`Bmc`](crate::Bmc) or
-//! [`Unroller`](crate::Unroller) — resource control, certification,
-//! inprocessing and clause sharing — applied in one shot with
+//! [`Unroller`](crate::Unroller) — resource control, certification and
+//! inprocessing — applied in one shot with
 //! [`Bmc::configure`](crate::Bmc::configure) or passed at construction
 //! via [`Bmc::with_options`](crate::Bmc::with_options).
 //!
@@ -12,15 +12,6 @@
 //! exactly `SolverConfig::with_proof_logging(true)` on the embedded
 //! solver configuration, so the checker validates proofs precisely when
 //! the solver records them.
-//!
-//! # Migration from the setter trio
-//!
-//! | deprecated setter           | replacement                                         |
-//! |-----------------------------|-----------------------------------------------------|
-//! | `Bmc::set_budget(b)`        | `bmc.configure(&BmcOptions::new().with_budget(b))`  |
-//! | `Bmc::set_ctl(ctl)`         | `bmc.configure(&BmcOptions::new().with_ctl(ctl))`   |
-//! | `Bmc::set_certify(true)`    | `BmcOptions::new().with_certify(true)`              |
-//! | `Unroller::set_*`           | `Unroller::configure(&solver_config)`               |
 //!
 //! # Examples
 //!
@@ -50,9 +41,6 @@ use axmc_sat::{Budget, ResourceCtl, SolverConfig};
 /// [`SolverConfig`] for the underlying incremental solver plus the
 /// checker-level certification switch (which is itself stored as the
 /// solver's proof-logging flag — there is one knob, not two).
-///
-/// See the [module documentation](self) for the migration table from the
-/// deprecated `set_*` mutators.
 #[derive(Clone, Debug, Default)]
 pub struct BmcOptions {
     solver: SolverConfig,
@@ -65,7 +53,7 @@ impl BmcOptions {
     }
 
     /// Replaces the embedded solver configuration wholesale (resource
-    /// control, proof logging, inprocessing, clause sharing).
+    /// control, proof logging, inprocessing).
     pub fn with_solver(mut self, solver: SolverConfig) -> Self {
         self.solver = solver;
         self

@@ -10,7 +10,7 @@
 use crate::Trace;
 use axmc_aig::Aig;
 use axmc_cnf::{assert_const_false, encode_frame, FrameEncoding};
-use axmc_sat::{Budget, Lit as SatLit, ResourceCtl, Solver, SolverConfig};
+use axmc_sat::{Lit as SatLit, Solver, SolverConfig};
 
 /// An incremental time-frame unroller over a sequential AIG.
 ///
@@ -161,46 +161,16 @@ impl Unroller {
     }
 
     /// Applies a full [`SolverConfig`] — resource control, proof
-    /// logging, inprocessing and clause sharing — to the underlying
-    /// solver. Enabling proof logging on a live unroller snapshots the
+    /// logging and inprocessing — to the underlying solver. Enabling proof logging on a live unroller snapshots the
     /// already-encoded frames as premises; re-applying a logging
     /// configuration keeps the existing proof buffer.
     pub fn configure(&mut self, config: &SolverConfig) {
         self.solver.configure(config);
     }
 
-    /// Sets the budget applied to subsequent solver calls.
-    #[deprecated(note = "use `Unroller::configure` with `SolverConfig::with_budget` \
-                (see the `axmc_sat::config` migration table)")]
-    pub fn set_budget(&mut self, budget: Budget) {
-        let config = self.solver.current_config().with_budget(budget);
-        self.solver.configure(&config);
-    }
-
-    /// Sets the full resource control — budget, deadline and cancellation
-    /// token — applied to subsequent solver calls.
-    #[deprecated(note = "use `Unroller::configure` with `SolverConfig::with_ctl` \
-                (see the `axmc_sat::config` migration table)")]
-    pub fn set_ctl(&mut self, ctl: ResourceCtl) {
-        let config = self.solver.current_config().with_ctl(ctl);
-        self.solver.configure(&config);
-    }
-
-    /// Enables or disables clausal proof logging on the underlying
-    /// solver, so UNSAT answers posed over the frames carry a
-    /// [`Certificate`](axmc_sat::Certificate) checkable with
-    /// [`axmc_check::certify_unsat`]. Enabling on a live unroller
-    /// snapshots the already-encoded frames as premises.
-    #[deprecated(
-        note = "use `Unroller::configure` with `SolverConfig::with_proof_logging` \
-                (see the `axmc_sat::config` migration table)"
-    )]
-    pub fn set_certify(&mut self, on: bool) {
-        let config = self.solver.current_config().with_proof_logging(on);
-        self.solver.configure(&config);
-    }
-
-    /// Returns `true` if proof logging is active.
+    /// Returns `true` if proof logging is active, so UNSAT answers posed
+    /// over the frames carry a [`Certificate`](axmc_sat::Certificate)
+    /// checkable with [`axmc_check::certify_unsat`].
     pub fn certify(&self) -> bool {
         self.solver.proof_logging()
     }

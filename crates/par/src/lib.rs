@@ -1,7 +1,7 @@
 //! Zero-dependency parallel execution for the axmc oracle loops.
 //!
 //! The whole stack's hot path is SAT/BMC oracle calls — embarrassingly
-//! parallel across CGP candidates and across speculative threshold
+//! parallel across CGP candidates and across independent threshold
 //! probes. This crate provides the shapes those loops need, built on
 //! [`std::thread::scope`] only (no external crates, so the workspace
 //! stays hermetic/offline):
@@ -11,9 +11,6 @@
 //!   completion order. With `jobs <= 1` (or one item) it runs inline on
 //!   the calling thread, so a serial run and a `jobs = 1` run are the
 //!   same code path.
-//! * [`parallel_zip_mut`] — the portfolio shape: pair each element of a
-//!   mutable state slice (e.g. per-worker solver engines) with one input
-//!   and run all pairs concurrently, one thread per pair.
 //! * [`parallel_pair`] — the two-engine race: run exactly two
 //!   heterogeneous closures concurrently and join both, used by the
 //!   `--engine auto` SAT ⊕ BDD portfolio in `axmc-core`.
@@ -155,74 +152,6 @@ where
     })
 }
 
-/// Runs `f(i, &mut states[i], &inputs[i])` for every input concurrently
-/// (one thread per pair) and returns the results in input order.
-///
-/// This is the speculative-portfolio shape: each worker owns a mutable
-/// engine (solver, unroller, …) for the duration of its probe, and the
-/// caller merges the answers afterwards in a deterministic order. With
-/// fewer than two inputs the calls run inline.
-///
-/// # Panics
-///
-/// Panics if `inputs` is longer than `states`, or if `f` panics.
-///
-/// # Examples
-///
-/// ```
-/// let mut accumulators = vec![0u64; 3];
-/// let sums = axmc_par::parallel_zip_mut(&mut accumulators, &[10u64, 20, 30], |_, acc, &x| {
-///     *acc += x;
-///     *acc
-/// });
-/// assert_eq!(sums, vec![10, 20, 30]);
-/// assert_eq!(accumulators, vec![10, 20, 30]);
-/// ```
-pub fn parallel_zip_mut<S, I, R, F>(states: &mut [S], inputs: &[I], f: F) -> Vec<R>
-where
-    S: Send,
-    I: Sync,
-    R: Send,
-    F: Fn(usize, &mut S, &I) -> R + Sync,
-{
-    assert!(
-        inputs.len() <= states.len(),
-        "portfolio needs one state per input ({} inputs, {} states)",
-        inputs.len(),
-        states.len()
-    );
-    if inputs.len() <= 1 {
-        return inputs
-            .iter()
-            .enumerate()
-            .map(|(i, input)| f(i, &mut states[i], input))
-            .collect();
-    }
-    let parent = axmc_obs::profile::current_span_id();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = states
-            .iter_mut()
-            .zip(inputs)
-            .enumerate()
-            .map(|(i, (state, input))| {
-                let f = &f;
-                scope.spawn(move || {
-                    axmc_obs::worker_scope(|| {
-                        axmc_obs::profile::with_parent(parent, || f(i, state, input))
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,27 +238,6 @@ mod tests {
     #[should_panic(expected = "pair boom")]
     fn pair_propagates_panics_from_either_side() {
         parallel_pair(|| 1u32, || panic!("pair boom"));
-    }
-
-    #[test]
-    fn zip_mut_gives_each_input_its_own_state() {
-        let mut states = vec![Vec::<usize>::new(), Vec::new(), Vec::new(), Vec::new()];
-        let out = parallel_zip_mut(&mut states, &[4usize, 5, 6], |i, state, &x| {
-            state.push(x);
-            i + x
-        });
-        assert_eq!(out, vec![4, 6, 8]);
-        assert_eq!(states[0], vec![4]);
-        assert_eq!(states[1], vec![5]);
-        assert_eq!(states[2], vec![6]);
-        assert!(states[3].is_empty(), "unused state untouched");
-    }
-
-    #[test]
-    #[should_panic(expected = "one state per input")]
-    fn zip_mut_rejects_more_inputs_than_states() {
-        let mut states = vec![0u32];
-        parallel_zip_mut(&mut states, &[1u32, 2], |_, s, &x| *s + x);
     }
 
     #[test]

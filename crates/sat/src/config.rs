@@ -1,27 +1,15 @@
 //! The unified solver configuration surface.
 //!
 //! [`SolverConfig`] is the one documented way to configure a
-//! [`Solver`](crate::Solver): resource governance, proof logging,
-//! inprocessing and portfolio clause sharing are all carried by a single
-//! immutable builder value that can be stamped onto a solver with
+//! [`Solver`](crate::Solver): resource governance, proof logging and
+//! inprocessing are all carried by a single immutable builder value that
+//! can be stamped onto a solver with
 //! [`Solver::configure`](crate::Solver::configure), captured back with
 //! [`Solver::current_config`](crate::Solver::current_config), and handed
 //! across layers (the model checker's `BmcOptions` and the analysis
 //! layer's `AnalysisOptions` both embed or produce one).
 //!
-//! # Migration from the setter quartet
-//!
-//! The accreted per-knob mutators are deprecated in favor of the builder:
-//!
-//! | deprecated setter                  | replacement                                          |
-//! |------------------------------------|------------------------------------------------------|
-//! | `Solver::set_budget(b)`            | `solver.configure(&cfg.with_budget(b))`              |
-//! | `Solver::set_ctl(ctl)`             | `solver.configure(&cfg.with_ctl(ctl))`               |
-//! | `Solver::set_proof_logging(true)`  | `solver.configure(&cfg.with_proof_logging(true))`    |
-//! | `Bmc::set_budget` / `set_ctl`      | `Bmc::configure(&BmcOptions::new().with_ctl(..))`    |
-//! | `Bmc::set_certify(true)`           | `BmcOptions::new().with_certify(true)`               |
-//!
-//! where `cfg` is either `SolverConfig::new()` for a fresh policy or
+//! Start from `SolverConfig::new()` for a fresh policy, or from
 //! `solver.current_config()` to re-arm a single knob without disturbing
 //! the others (the pattern pooled probes use between jobs).
 //!
@@ -44,7 +32,6 @@
 //! ```
 
 use crate::ctl::ResourceCtl;
-use crate::share::ShareHandle;
 use crate::solver::Budget;
 
 /// Knobs of the between-solves inprocessing pass (see
@@ -91,16 +78,14 @@ impl Default for InprocessConfig {
 }
 
 /// The complete configuration of a [`Solver`](crate::Solver): resource
-/// control, proof logging, inprocessing and clause sharing.
+/// control, proof logging and inprocessing.
 ///
-/// See the [module documentation](self) for the migration table from the
-/// deprecated `set_*` mutators and a usage example.
+/// See the [module documentation](self) for a usage example.
 #[derive(Clone, Debug, Default)]
 pub struct SolverConfig {
     ctl: ResourceCtl,
     proof_logging: bool,
     inprocess: Option<InprocessConfig>,
-    share: Option<ShareHandle>,
 }
 
 impl SolverConfig {
@@ -144,13 +129,6 @@ impl SolverConfig {
         self
     }
 
-    /// Attaches a portfolio clause-sharing lane (see
-    /// [`ShareRing`](crate::ShareRing)). Off by default.
-    pub fn with_share(mut self, handle: ShareHandle) -> Self {
-        self.share = Some(handle);
-        self
-    }
-
     /// The resource control.
     pub fn ctl(&self) -> &ResourceCtl {
         &self.ctl
@@ -164,11 +142,6 @@ impl SolverConfig {
     /// The inprocessing knobs, if inprocessing is enabled.
     pub fn inprocess(&self) -> Option<&InprocessConfig> {
         self.inprocess.as_ref()
-    }
-
-    /// The clause-sharing lane, if sharing is enabled.
-    pub fn share(&self) -> Option<&ShareHandle> {
-        self.share.as_ref()
     }
 }
 
@@ -185,7 +158,6 @@ mod tests {
         assert_eq!(cfg.ctl().budget().max_conflicts(), Some(7));
         assert!(cfg.proof_logging());
         assert!(cfg.inprocess().is_some());
-        assert!(cfg.share().is_none());
         let cfg = cfg.without_inprocessing();
         assert!(cfg.inprocess().is_none());
     }

@@ -47,13 +47,11 @@
 //! assert_eq!(solver.model_value(y), Some(false));
 //! ```
 //!
-//! Beyond the classic loop, the solver carries the engine-level speed
-//! machinery: between-solves **inprocessing** (subsumption,
-//! self-subsuming resolution, vivification and marked-variable
-//! elimination — see [`InprocessConfig`]) and **portfolio clause
-//! sharing** with RUP-validated imports (see [`ShareRing`]), both
-//! proof-logged so certification survives them, both off by default and
-//! enabled through [`SolverConfig`].
+//! Beyond the classic loop, the solver carries between-solves
+//! **inprocessing** (subsumption, self-subsuming resolution,
+//! vivification and marked-variable elimination — see
+//! [`InprocessConfig`]), proof-logged so certification survives it, off
+//! by default and enabled through [`SolverConfig`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,14 +59,10 @@
 pub mod config;
 mod ctl;
 mod heap;
-mod share;
 mod solver;
 mod types;
 
 pub use crate::config::{InprocessConfig, SolverConfig};
 pub use crate::ctl::{CancelToken, Interrupt, ResourceCtl};
-pub use crate::share::{
-    ShareHandle, ShareRing, DEFAULT_MAX_SHARED_LBD, DEFAULT_MAX_SHARED_LEN, DEFAULT_RING_CAPACITY,
-};
 pub use crate::solver::{Budget, Certificate, ProofStep, SolveResult, Solver, SolverStats};
 pub use crate::types::{LBool, Lit, Var};

@@ -11,7 +11,6 @@
 use crate::config::{InprocessConfig, SolverConfig};
 use crate::ctl::{Interrupt, ResourceCtl};
 use crate::heap::VarOrder;
-use crate::share::ShareHandle;
 use crate::{LBool, Lit, Var};
 use std::time::Instant;
 
@@ -111,7 +110,7 @@ pub struct SolverStats {
 const NO_REASON: u32 = u32::MAX;
 
 /// One step of the clausal (DRAT-style) derivation recorded by a proof
-/// logging [`Solver`] (see [`Solver::set_proof_logging`]).
+/// logging [`Solver`] (see [`SolverConfig::with_proof_logging`]).
 ///
 /// The sequence of steps, replayed in order on top of the premises,
 /// reconstructs the evolution of the solver's clause database. Every
@@ -284,9 +283,6 @@ pub struct Solver {
     /// burst of solves on a static database pays for simplification
     /// once.
     inprocess_stamp: Option<(usize, usize)>,
-    /// Portfolio clause-sharing lane; `None` disables sharing (the
-    /// default).
-    share: Option<ShareHandle>,
     // LBD histogram resolved once per instrumented solve call, so the
     // per-learnt-clause record in the search loop is a few relaxed
     // atomic adds instead of a registry name lookup. `None` whenever
@@ -353,18 +349,26 @@ impl Solver {
     }
 
     /// Applies a complete [`SolverConfig`]: resource control, proof
-    /// logging, inprocessing and clause sharing in one call.
+    /// logging and inprocessing in one call.
     ///
-    /// This is the one documented way to (re)configure a solver; see the
-    /// [`crate::config`] module for the migration table from the
-    /// deprecated per-knob setters. Applying a proof-logging
-    /// configuration to a solver that is already logging keeps the
-    /// existing buffer (so re-arming a budget between solves never drops
-    /// a certificate); applying a non-logging one discards it.
+    /// This is the one documented way to (re)configure a solver.
+    /// Applying a proof-logging configuration to a solver that is
+    /// already logging keeps the existing buffer (so re-arming a budget
+    /// between solves never drops a certificate); applying a non-logging
+    /// one discards it.
+    ///
+    /// While logging is on, every clause passed to [`Solver::add_clause`]
+    /// is recorded verbatim as a premise, and every learnt-clause addition
+    /// or deletion is recorded as a derivation step. After an `Unsat`
+    /// answer, [`Solver::certificate`] returns the complete material for
+    /// an independent forward RUP/DRAT check (the `axmc-check` crate
+    /// implements one). Enabling logging on a solver that already holds
+    /// clauses snapshots the current database (including the root-level
+    /// trail) as premises: certification is then relative to that state,
+    /// not to clauses added before the call.
     pub fn configure(&mut self, config: &SolverConfig) {
         self.ctl = config.ctl().clone();
         self.inprocess = config.inprocess().copied();
-        self.share = config.share().cloned();
         self.apply_proof_logging(config.proof_logging());
     }
 
@@ -384,9 +388,6 @@ impl Solver {
         if let Some(ip) = self.inprocess {
             cfg = cfg.with_inprocessing(ip);
         }
-        if let Some(sh) = &self.share {
-            cfg = cfg.with_share(sh.clone());
-        }
         cfg
     }
 
@@ -405,22 +406,6 @@ impl Solver {
         self.eliminated[v.index() as usize]
     }
 
-    /// Sets the resource budget applied to each subsequent `solve` call,
-    /// leaving any deadline or cancellation token in place.
-    #[deprecated(note = "use `Solver::configure` with `SolverConfig::with_budget` \
-                         (see the `axmc_sat::config` migration table)")]
-    pub fn set_budget(&mut self, budget: Budget) {
-        self.ctl = self.ctl.clone().with_budget(budget);
-    }
-
-    /// Sets the full resource control (budget, deadline, per-call timeout
-    /// and cancellation token) applied to each subsequent `solve` call.
-    #[deprecated(note = "use `Solver::configure` with `SolverConfig::with_ctl` \
-                         (see the `axmc_sat::config` migration table)")]
-    pub fn set_ctl(&mut self, ctl: ResourceCtl) {
-        self.ctl = ctl;
-    }
-
     /// The resource control currently governing `solve` calls.
     pub fn ctl(&self) -> &ResourceCtl {
         &self.ctl
@@ -430,27 +415,6 @@ impl Solver {
     /// [`SolveResult::Unknown`], or `None` if it ran to a verdict.
     pub fn last_interrupt(&self) -> Option<Interrupt> {
         self.last_interrupt
-    }
-
-    /// Enables or disables clausal proof logging.
-    ///
-    /// While logging is on, every clause passed to [`Solver::add_clause`]
-    /// is recorded verbatim as a premise, and every learnt-clause addition
-    /// or deletion is recorded as a derivation step. After an `Unsat`
-    /// answer, [`Solver::certificate`] returns the complete material for
-    /// an independent forward RUP/DRAT check (the `axmc-check` crate
-    /// implements one).
-    ///
-    /// Enabling logging on a solver that already holds clauses snapshots
-    /// the current database (including the root-level trail) as premises:
-    /// certification is then relative to that state, not to clauses added
-    /// before the call. Disabling logging discards the buffer.
-    #[deprecated(
-        note = "use `Solver::configure` with `SolverConfig::with_proof_logging` \
-                         (see the `axmc_sat::config` migration table)"
-    )]
-    pub fn set_proof_logging(&mut self, on: bool) {
-        self.apply_proof_logging(on);
     }
 
     fn apply_proof_logging(&mut self, on: bool) {
@@ -1013,27 +977,6 @@ impl Solver {
         self.cla_inc /= 0.999;
     }
 
-    /// Publishes a freshly learnt clause on the sharing ring if a lane is
-    /// attached and the clause passes the export filter (LBD, length,
-    /// fleet-common variable prefix).
-    #[inline]
-    fn export_learnt(&self, lits: &[Lit], lbd: u32) {
-        let Some(h) = &self.share else { return };
-        if lbd > h.max_lbd || lits.len() > h.max_len {
-            return;
-        }
-        if lits
-            .iter()
-            .any(|l| l.var().index() as usize >= h.shared_vars)
-        {
-            return;
-        }
-        h.ring.publish(h.lane, lits);
-        if axmc_obs::enabled() {
-            axmc_obs::counter("sat.share.exported").inc();
-        }
-    }
-
     /// Solves the formula without assumptions.
     pub fn solve(&mut self) -> SolveResult {
         self.solve_with_assumptions(&[])
@@ -1157,9 +1100,9 @@ impl Solver {
             self.log_conclusion(None, assumptions);
             return SolveResult::Unknown;
         }
-        // Between-solves inprocessing and shared-clause import, both at
-        // decision level 0. Either can expose a root-level conflict.
-        if self.inprocess.is_some() || self.share.is_some() {
+        // Between-solves inprocessing at decision level 0; it can expose
+        // a root-level conflict.
+        if self.inprocess.is_some() {
             self.presolve();
             if !self.ok {
                 self.log_conclusion(Some(Vec::new()), assumptions);
@@ -1206,14 +1149,12 @@ impl Solver {
                         if let Some(h) = &self.lbd_hist {
                             h.record(1); // a unit spans one decision level
                         }
-                        self.export_learnt(&learnt, 1);
                         self.unchecked_enqueue(learnt[0], NO_REASON);
                     } else {
                         let lbd = self.lbd(&learnt);
                         if let Some(h) = &self.lbd_hist {
                             h.record(lbd as u64);
                         }
-                        self.export_learnt(&learnt, lbd);
                         let first = learnt[0];
                         let cref = self.alloc_clause(learnt, true);
                         self.clauses[cref as usize].lbd = lbd;
@@ -1672,18 +1613,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_setters_still_forward() {
-        let mut s = pigeonhole(10);
-        s.set_budget(Budget::unlimited().with_conflicts(1));
-        assert_eq!(s.solve(), SolveResult::Unknown);
-        s.set_ctl(ResourceCtl::unlimited());
-        assert_eq!(s.ctl().budget().max_conflicts(), None);
-        s.set_proof_logging(true);
-        assert!(s.proof_logging());
-    }
-
-    #[test]
     fn current_config_round_trips_every_knob() {
         let mut s = pigeonhole(7);
         s.configure(
@@ -1696,7 +1625,6 @@ mod tests {
         assert_eq!(cfg.ctl().budget().max_conflicts(), Some(123));
         assert!(cfg.proof_logging());
         assert!(cfg.inprocess().is_some());
-        assert!(cfg.share().is_none());
         // Re-applying the captured config with one knob changed keeps
         // the proof buffer alive (logging stays on).
         s.configure(&cfg.with_budget(Budget::unlimited()));

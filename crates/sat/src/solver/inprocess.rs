@@ -1,4 +1,4 @@
-//! Between-solves inprocessing and shared-clause import.
+//! Between-solves inprocessing.
 //!
 //! Everything here runs at decision level 0, from [`Solver::presolve`],
 //! before the CDCL loop of a solve call starts. The passes are purely
@@ -19,28 +19,13 @@
 //!   original deleted.
 //! * Variable-elimination resolvents are RUP while both parents are
 //!   alive, so resolvents are added first, parents deleted after.
-//! * Imported shared clauses are untrusted: each is re-derived by
-//!   reverse unit propagation against the importer's own database and
-//!   logged as a regular `Add` only when the check succeeds.
 
 use super::*;
 
-/// What happened to one clause fetched from the sharing ring.
-enum ImportOutcome {
-    /// Validated by RUP and attached (or enqueued, for units).
-    Imported,
-    /// Failed validation (unknown/eliminated variables, or no RUP
-    /// conflict); dropped.
-    Rejected,
-    /// Already satisfied at the root, or tautological; nothing to do.
-    Redundant,
-}
-
 impl Solver {
-    /// The solve-entry hook: inprocessing (when configured and the
-    /// database changed since the last pass) followed by shared-clause
-    /// import (when a lane is attached). May discover root-level
-    /// unsatisfiability, in which case `self.ok` turns false.
+    /// The solve-entry hook: inprocessing, when the database changed
+    /// since the last pass. May discover root-level unsatisfiability, in
+    /// which case `self.ok` turns false.
     pub(super) fn presolve(&mut self) {
         debug_assert_eq!(self.decision_level(), 0);
         if !self.ok {
@@ -58,9 +43,6 @@ impl Solver {
                     self.inprocess_stamp = Some((self.num_original, self.trail.len()));
                 }
             }
-        }
-        if self.ok && self.share.is_some() {
-            self.import_shared();
         }
     }
 
@@ -109,10 +91,20 @@ impl Solver {
         log.root_units_logged = self.trail.len();
     }
 
-    /// Adds a clause derived from the existing database (strengthening,
-    /// resolvent, validated import): logged as a derivation step, not a
-    /// premise, and otherwise treated exactly like a problem clause.
-    fn add_derived_clause(&mut self, lits: &[Lit]) -> bool {
+    /// Adds a clause that follows from the clause database — a
+    /// strengthening, a resolvent, or the negated assumption of an
+    /// `Unsat` answer — and returns `false` if the solver is now
+    /// unsatisfiable at the root.
+    ///
+    /// The contract: `lits` must be a reverse-unit-propagation (RUP)
+    /// consequence of the current database, which holds for the
+    /// [`Certificate::conclusion`] of the most recent `Unsat` answer.
+    /// Under proof logging the clause is recorded as a DRAT *addition*,
+    /// never as a premise, so the next certificate check re-derives it
+    /// instead of trusting it. Otherwise it is treated exactly like a
+    /// problem clause. Must be called at decision level 0, which is
+    /// always the case between `solve` calls.
+    pub fn add_derived_clause(&mut self, lits: &[Lit]) -> bool {
         debug_assert_eq!(self.decision_level(), 0);
         if !self.ok {
             return false;
@@ -539,115 +531,6 @@ impl Solver {
         }
         self.elim_stack = stack;
     }
-
-    /// Drains the sharing ring and runs every foreign clause through RUP
-    /// validation.
-    fn import_shared(&mut self) {
-        let mut incoming: Vec<std::sync::Arc<[Lit]>> = Vec::new();
-        let shared_vars = {
-            let h = self.share.as_mut().expect("import without a share lane");
-            let ring = h.ring.clone();
-            ring.fetch_from(&mut h.cursor, h.lane, &mut incoming);
-            h.shared_vars
-        };
-        if incoming.is_empty() {
-            return;
-        }
-        let mut imported = 0u64;
-        let mut rejected = 0u64;
-        for lits in incoming {
-            if !self.ok {
-                break;
-            }
-            match self.try_import(&lits, shared_vars) {
-                ImportOutcome::Imported => imported += 1,
-                ImportOutcome::Rejected => rejected += 1,
-                ImportOutcome::Redundant => {}
-            }
-        }
-        if axmc_obs::enabled() {
-            axmc_obs::counter("sat.share.imported").add(imported);
-            axmc_obs::counter("sat.share.rejected").add(rejected);
-        }
-    }
-
-    /// Validates one foreign clause by reverse unit propagation on a
-    /// scratch decision level and attaches it on success.
-    fn try_import(&mut self, lits: &[Lit], shared_vars: usize) -> ImportOutcome {
-        debug_assert_eq!(self.decision_level(), 0);
-        if lits.is_empty() {
-            return ImportOutcome::Rejected;
-        }
-        for &l in lits {
-            let vi = l.var().index() as usize;
-            if vi >= shared_vars || vi >= self.assigns.len() || self.eliminated[vi] {
-                return ImportOutcome::Rejected;
-            }
-        }
-        // Root-level triage: drop satisfied clauses, strip false
-        // literals, dedup.
-        let mut undef: Vec<Lit> = Vec::new();
-        for &l in lits {
-            match self.value_lit(l) {
-                LBool::True => return ImportOutcome::Redundant,
-                LBool::False => {}
-                LBool::Undef => {
-                    if !undef.contains(&l) {
-                        undef.push(l);
-                    }
-                }
-            }
-        }
-        if undef.is_empty() {
-            // Entirely false at root: a sound clause here would mean the
-            // database is already unsatisfiable, which propagation would
-            // have caught — no RUP evidence, reject.
-            return ImportOutcome::Rejected;
-        }
-        if undef.iter().any(|&l| undef.contains(&!l)) {
-            return ImportOutcome::Redundant; // tautology
-        }
-        // RUP check: assert the negation on a scratch level; accept only
-        // if propagation refutes it.
-        self.trail_lim.push(self.trail.len());
-        let mut conflicted = false;
-        for &l in &undef {
-            match self.value_lit(l) {
-                LBool::False => continue, // already falsified by the prefix
-                LBool::True => {
-                    // The prefix implies l — enqueueing !l would conflict.
-                    conflicted = true;
-                    break;
-                }
-                LBool::Undef => {
-                    self.unchecked_enqueue(!l, NO_REASON);
-                    if self.propagate().is_some() {
-                        conflicted = true;
-                        break;
-                    }
-                }
-            }
-        }
-        self.cancel_until(0);
-        if !conflicted {
-            return ImportOutcome::Rejected;
-        }
-        // Log the root-simplified form: it is RUP exactly as validated.
-        if self.proof.is_some() {
-            self.log_step(ProofStep::Add(undef.clone()));
-        }
-        if undef.len() == 1 {
-            self.unchecked_enqueue(undef[0], NO_REASON);
-            if self.propagate().is_some() {
-                self.ok = false;
-            }
-        } else {
-            let lbd = undef.len() as u32;
-            let cref = self.alloc_clause(undef, true);
-            self.clauses[cref as usize].lbd = lbd;
-        }
-        ImportOutcome::Imported
-    }
 }
 
 /// The resolvent of `a` and `b` on `v` (with `v` positive in `a`), or
@@ -696,7 +579,6 @@ fn strengthens(c: &[Lit], l: Lit, d: &[Lit]) -> bool {
 mod tests {
     use super::*;
     use crate::config::SolverConfig;
-    use crate::share::ShareRing;
     use crate::SolveResult;
 
     fn make(n: usize) -> (Solver, Vec<Var>) {
@@ -842,63 +724,6 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Sat);
         assert!(s.is_eliminated(x.var()));
         let _ = s.solve_with_assumptions(&[x]);
-    }
-
-    #[test]
-    fn valid_shared_clauses_are_imported() {
-        let ring = ShareRing::new();
-        let (mut s, v) = make(3);
-        let (x1, x2, x3) = (v[0].positive(), v[1].positive(), v[2].positive());
-        s.add_clause(&[x1, x2]);
-        s.add_clause(&[!x1, x2]);
-        s.configure(&SolverConfig::new().with_share(ring.handle(0, 3)));
-        // [x2, x3] is RUP: asserting !x2 and !x3 propagates a conflict
-        // through the two clauses above.
-        ring.publish(1, &[x2, x3]);
-        let learnt_before = s.stats().learnt;
-        assert_eq!(s.solve(), SolveResult::Sat);
-        assert_eq!(
-            s.stats().learnt,
-            learnt_before + 1,
-            "the validated import is attached as a learnt clause"
-        );
-    }
-
-    #[test]
-    fn corrupted_shared_clauses_are_rejected() {
-        let ring = ShareRing::new();
-        let (mut s, v) = make(2);
-        let (x1, x2) = (v[0].positive(), v[1].positive());
-        s.add_clause(&[x1, x2]);
-        s.add_clause(&[!x1, x2]);
-        s.configure(&SolverConfig::new().with_share(ring.handle(0, 2)));
-        // The database implies x2; a corrupted lane publishes !x2. RUP
-        // validation (assert x2, propagate) finds no conflict: rejected.
-        ring.publish(1, &[!x2]);
-        assert_eq!(s.solve(), SolveResult::Sat);
-        assert_eq!(
-            s.model_lit(x2),
-            Some(true),
-            "the corrupted unit must not have been attached"
-        );
-        // And the verdict math still works: adding the real implication
-        // keeps the instance satisfiable.
-        s.add_clause(&[x2]);
-        assert_eq!(s.solve(), SolveResult::Sat);
-    }
-
-    #[test]
-    fn own_lane_clauses_are_not_reimported() {
-        let ring = ShareRing::new();
-        let (mut s, v) = make(2);
-        let (x1, x2) = (v[0].positive(), v[1].positive());
-        s.add_clause(&[x1, x2]);
-        s.add_clause(&[!x1, x2]);
-        s.configure(&SolverConfig::new().with_share(ring.handle(0, 2)));
-        ring.publish(0, &[x2]); // own lane: must be skipped
-        let learnt_before = s.stats().learnt;
-        assert_eq!(s.solve(), SolveResult::Sat);
-        assert_eq!(s.stats().learnt, learnt_before);
     }
 
     #[test]

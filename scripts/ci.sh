@@ -274,6 +274,35 @@ incremental_bmc_smoke() {
 }
 incremental_bmc_smoke
 
+# Sequential-search determinism smoke: the WCE and bit-flip searches run
+# on one warm engine whatever --jobs says, so the whole sequential
+# effort — probe count, conflicts, solver calls, learnt clauses — must
+# be identical for --jobs 1 and --jobs 2. Catches any return of a
+# jobs-dependent search.
+seq_determinism_smoke() {
+    echo "== sequential search determinism smoke =="
+    local dir
+    dir=$(mktemp -d)
+    cargo run --release --offline --bin axmc -- \
+        gen --kind accumulator --width 6 --out "$dir/g.aag"
+    cargo run --release --offline --bin axmc -- \
+        gen --kind trunc-accumulator --width 6 --param 2 --out "$dir/c.aag"
+    for j in 1 2; do
+        cargo run --release --offline --bin axmc -- \
+            analyze --golden "$dir/g.aag" --approx "$dir/c.aag" \
+            --horizon 6 --metrics --jobs "$j" >"$dir/out$j.txt"
+        grep -E '^(worst-case error@k|bit-flip error@k) |^  sat\.(solves|learnt) ' \
+            "$dir/out$j.txt" >"$dir/effort$j.txt"
+    done
+    cat "$dir/effort1.txt"
+    [[ $(wc -l <"$dir/effort1.txt") -eq 4 ]] \
+        || { echo "search lines or solver counters missing from --metrics"; exit 1; }
+    cmp "$dir/effort1.txt" "$dir/effort2.txt" \
+        || { echo "sequential search effort depends on --jobs"; exit 1; }
+    rm -rf "$dir"
+}
+seq_determinism_smoke
+
 # Throughput gate for the static tier's costliest consumer: the T5
 # harness (CGP evaluations/second — every candidate now passes the
 # static pre-screen before a solver sees it) must not regress against

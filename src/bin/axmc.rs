@@ -157,7 +157,7 @@ USAGE:
   axmc analyze --golden G.aag --approx C.aag [--horizon K] [--jobs N]
                [--engine sat|bdd|auto|static] [--timeout D] [--query-timeout D]
                [--prove] [--average] [--certify] [--vcd F.vcd]
-               [--inprocess] [--share-clauses]
+               [--inprocess]
                [--metrics] [--trace F.jsonl] [--run-dir DIR]
       Exact worst-case / bit-flip error of C against G. Sequential pairs
       are analyzed within K cycles (default 8); --prove additionally
@@ -267,11 +267,15 @@ ENGINES:
                     docs/backends.md and docs/static-analysis.md.
 
 PARALLELISM:
-  --jobs N          worker threads for candidate verification (evolve) and
-                    speculative threshold probes (analyze). Defaults to the
-                    machine's available parallelism; must be >= 1. Results
-                    are identical for every N — a fixed --seed reproduces
-                    the same evolve trajectory byte for byte.
+  --jobs N          worker threads for candidate verification (evolve),
+                    the component sweep (characterize), serve's workers
+                    and the SAT/BDD race of --engine auto. Defaults to the
+                    machine's available parallelism; must be >= 1.
+                    Results are identical for every N — a fixed --seed
+                    reproduces the same evolve trajectory byte for byte.
+                    The sequential WCE and bit-flip searches always run
+                    on one warm engine, so their probe and conflict
+                    counts do not depend on N either.
 
 SOLVER TUNING (see docs/solver.md):
   --inprocess       run the solver's between-solves inprocessing pass
@@ -279,12 +283,6 @@ SOLVER TUNING (see docs/solver.md):
                     inside every SAT engine. Verdicts are unchanged, and
                     under --certify every simplification is proof-logged
                     and re-checked. analyze and serve only.
-  --share-clauses   share strong learned clauses (LBD-filtered) between
-                    the --jobs portfolio workers of the threshold
-                    searches; imports are RUP-validated before use.
-                    Certified verdicts are unaffected, but under tight
-                    budgets which probes *finish* may vary run to run.
-                    analyze only; needs --jobs >= 2 to have any effect.
 
 RESOURCE GOVERNANCE:
   --timeout D       wall-clock deadline for the whole command. D is a
@@ -359,7 +357,6 @@ const ANALYZE_FLAGS: &[FlagSpec] = &[
     switch("average"),
     switch("certify"),
     switch("inprocess"),
-    switch("share-clauses"),
     val("vcd"),
     switch("metrics"),
     val("trace"),
@@ -789,8 +786,7 @@ fn cmd_analyze(opts: &Flags) -> Result<(), CliError> {
         .with_jobs(jobs)
         .with_certify(certify)
         .with_backend(engine)
-        .with_inprocessing(opts.contains_key("inprocess"))
-        .with_clause_sharing(opts.contains_key("share-clauses"));
+        .with_inprocessing(opts.contains_key("inprocess"));
     let golden = load_aig(required(opts, "golden")?)?;
     let approx = load_aig(required(opts, "approx")?)?;
     if golden.num_inputs() != approx.num_inputs() || golden.num_outputs() != approx.num_outputs() {
