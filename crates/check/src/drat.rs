@@ -2,11 +2,22 @@
 //!
 //! The checker replays a [`Certificate`] recorded by a proof-logging
 //! [`Solver`]: it loads the premises, re-verifies every added clause by
-//! **reverse unit propagation** (assume the clause's negation, run unit
-//! propagation over the live database, require a conflict), applies
-//! deletions, and finally verifies the concluded clause — the empty
-//! clause for an unconditional refutation, or an assumption core for an
+//! **reverse unit propagation** (assume the clause's negation, propagate
+//! over the live database, require a conflict), applies deletions, and
+//! finally verifies the concluded clause — the empty clause for an
+//! unconditional refutation, or an assumption core for an
 //! `Unsat`-under-assumptions answer.
+//!
+//! An added clause that carries a hint chain (see
+//! [`HintChains`](axmc_sat::HintChains)) is first checked by walking the
+//! chain: each id must name a live clause inserted before the step, a
+//! satisfied clause is skipped, a clause with one unassigned literal
+//! assigns it, and a falsified clause is the conflict. When the walk stops short — an id naming a missing, deleted
+//! or later clause, or a clause with two unassigned literals — the check
+//! continues with full unit propagation from the assignment reached.
+//! Every literal the walk assigns is a unit-propagation consequence of
+//! live clauses, and unit propagation is confluent, so a chain changes
+//! only how fast a step is checked, never whether it checks.
 //!
 //! Soundness notes:
 //!
@@ -18,11 +29,13 @@
 //! * Once the root database propagates to a conflict, every clause is
 //!   trivially RUP; the checker short-circuits from that point on.
 
-use axmc_sat::{Certificate, LBool, Lit, ProofStep, Solver};
+use axmc_sat::{Certificate, LBool, Lit, ProofStep, Solver, LEMMA_TAG, MAX_VARS};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// Counters describing one successful certificate check.
+/// Counters describing one successful certificate check. They depend on
+/// the certificate's clauses only, not on its hint chains.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckStats {
     /// Premise clauses loaded.
@@ -33,8 +46,6 @@ pub struct CheckStats {
     pub deletions: usize,
     /// Deletion steps that matched no deletable clause (skipped; sound).
     pub ignored_deletions: usize,
-    /// Unit propagations performed while checking.
-    pub propagations: u64,
     /// Literals in the concluded clause (0 = unconditional refutation).
     pub conclusion_len: usize,
 }
@@ -111,34 +122,139 @@ impl fmt::Display for CertifyError {
 
 impl std::error::Error for CertifyError {}
 
+/// How much work one check took; unlike [`CheckStats`], this depends on
+/// the hint chains. Reported through `axmc-obs` by [`certify_unsat`].
+#[derive(Clone, Copy, Debug, Default)]
+struct Work {
+    /// Literals propagated through the watch lists.
+    propagations: u64,
+    /// Added clauses whose hint chain reached the conflict.
+    hinted: u64,
+    /// Added clauses checked by full unit propagation: no chain, or a
+    /// chain that stopped short.
+    fallback: u64,
+}
+
+/// How a clause passed, or failed, its RUP check.
+enum Rup {
+    /// Root conflict, or the negation is contradictory by itself.
+    Trivial,
+    /// The hint chain reached the conflict.
+    Hinted,
+    /// Full unit propagation reached the conflict.
+    Propagated,
+    /// No conflict: not RUP.
+    Failed,
+}
+
+/// Marks a watcher of a binary clause in [`Watch::cref_flag`]; its
+/// blocker is the clause's other literal.
+const WATCH_BINARY: u32 = 1 << 31;
+
+/// The slot of a proof clause the checker did not store: a tautology, a
+/// clause with one non-false literal (insertion assigns it at the root),
+/// or any clause once the root conflicts. Each is satisfied at the root
+/// forever (or checking is over), so a chain walk skips it. Also ends
+/// the `same_hash` lists.
+const NONE: u32 = u32::MAX;
+
+#[derive(Clone, Copy)]
+struct Watch {
+    cref_flag: u32,
+    blocker: Lit,
+}
+
+impl Watch {
+    fn new(cref: u32, blocker: Lit, binary: bool) -> Self {
+        Watch {
+            cref_flag: cref | if binary { WATCH_BINARY } else { 0 },
+            blocker,
+        }
+    }
+}
+
+/// A stored clause: its literals are `arena[start..start + len]`.
+#[derive(Clone, Copy)]
+struct Header {
+    start: u32,
+    len: u32,
+    alive: bool,
+}
+
+/// A hasher for keys that are already well-mixed `u64` hashes.
+#[derive(Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 << 8) | u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+}
+
+/// A hash of a sorted, duplicate-free literal set. Collisions only cost
+/// time: deletion compares the literals of every candidate.
+fn set_hash(sorted: &[Lit]) -> u64 {
+    let mut h = sorted.len() as u64;
+    for l in sorted {
+        h = (h.rotate_left(5) ^ u64::from(l.code())).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    // SplitMix64 finalizer: every output bit depends on every input bit.
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
+
 /// The watched-literal clause database of the forward checker.
 struct Checker {
     assigns: Vec<LBool>,
-    clauses: Vec<Vec<Lit>>,
-    alive: Vec<bool>,
+    arena: Vec<Lit>,
+    headers: Vec<Header>,
     /// Watcher lists indexed by the code of the *negation* of the watched
     /// literal (visited when that literal becomes false).
-    watches: Vec<Vec<u32>>,
+    watches: Vec<Vec<Watch>>,
     trail: Vec<Lit>,
     qhead: usize,
-    /// Sorted-literal key → derived (deletable) clause ids.
-    by_key: HashMap<Vec<Lit>, Vec<u32>>,
+    /// Set hash → the most recently stored derived (deletable) clause
+    /// with that hash; `same_hash` links each to the one stored before.
+    by_hash: HashMap<u64, u32, BuildHasherDefault<PreHashed>>,
+    same_hash: Vec<u32>,
+    /// Premise `i` → its stored clause or [`NONE`].
+    premises: Vec<u32>,
+    /// The `j`-th added clause → its stored clause or [`NONE`]; its
+    /// length is the number of additions so far.
+    lemmas: Vec<u32>,
+    /// Reused sort buffer for insertions and deletions.
+    scratch: Vec<Lit>,
     root_conflict: bool,
-    propagations: u64,
+    work: Work,
 }
 
 impl Checker {
     fn new(num_vars: usize) -> Self {
         Checker {
             assigns: vec![LBool::Undef; num_vars],
-            clauses: Vec::new(),
-            alive: Vec::new(),
+            arena: Vec::new(),
+            headers: Vec::new(),
             watches: vec![Vec::new(); 2 * num_vars],
             trail: Vec::new(),
             qhead: 0,
-            by_key: HashMap::new(),
+            by_hash: HashMap::default(),
+            same_hash: Vec::new(),
+            premises: Vec::new(),
+            lemmas: Vec::new(),
+            scratch: Vec::new(),
             root_conflict: false,
-            propagations: 0,
+            work: Work::default(),
         }
     }
 
@@ -154,81 +270,108 @@ impl Checker {
         self.trail.push(l);
     }
 
+    fn lits(&self, cref: u32) -> &[Lit] {
+        let h = self.headers[cref as usize];
+        &self.arena[h.start as usize..(h.start + h.len) as usize]
+    }
+
     /// Unit propagation to fixpoint; returns `true` on conflict.
     fn propagate(&mut self) -> bool {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
-            self.propagations += 1;
+            self.work.propagations += 1;
             let false_lit = !p;
             let mut ws = std::mem::take(&mut self.watches[p.code() as usize]);
+            let mut conflict = false;
             let mut j = 0;
             let mut i = 0;
             'watchers: while i < ws.len() {
-                let cid = ws[i];
+                let w = ws[i];
                 i += 1;
-                if !self.alive[cid as usize] {
-                    continue; // lazily drop watchers of deleted clauses
-                }
-                let c = &mut self.clauses[cid as usize];
-                if c[0] == false_lit {
-                    c.swap(0, 1);
-                }
-                debug_assert_eq!(c[1], false_lit);
-                let first = c[0];
-                if self.value(first) == LBool::True {
-                    ws[j] = cid;
+                if self.value(w.blocker) == LBool::True {
+                    ws[j] = w;
                     j += 1;
                     continue;
                 }
-                let len = self.clauses[cid as usize].len();
-                for k in 2..len {
-                    let lk = self.clauses[cid as usize][k];
-                    if self.value(lk) != LBool::False {
-                        let c = &mut self.clauses[cid as usize];
-                        c.swap(1, k);
-                        let new_watch = c[1];
-                        self.watches[(!new_watch).code() as usize].push(cid);
-                        continue 'watchers;
-                    }
+                let cref = w.cref_flag & !WATCH_BINARY;
+                let h = self.headers[cref as usize];
+                if !h.alive {
+                    continue; // lazily drop watchers of deleted clauses
                 }
-                // Unit or conflicting.
-                ws[j] = cid;
-                j += 1;
-                if self.value(first) == LBool::False {
-                    while i < ws.len() {
-                        ws[j] = ws[i];
-                        j += 1;
-                        i += 1;
+                // A binary watcher carries the whole clause: the blocker
+                // is the other literal, so no clause memory is touched.
+                let first = if w.cref_flag & WATCH_BINARY != 0 {
+                    ws[j] = w;
+                    j += 1;
+                    w.blocker
+                } else {
+                    let s = h.start as usize;
+                    if self.arena[s] == false_lit {
+                        self.arena.swap(s, s + 1);
                     }
-                    ws.truncate(j);
-                    self.watches[p.code() as usize] = ws;
-                    self.qhead = self.trail.len();
-                    return true;
+                    debug_assert_eq!(self.arena[s + 1], false_lit);
+                    let first = self.arena[s];
+                    if first != w.blocker && self.value(first) == LBool::True {
+                        ws[j] = Watch::new(cref, first, false);
+                        j += 1;
+                        continue;
+                    }
+                    for k in 2..h.len as usize {
+                        let lk = self.arena[s + k];
+                        if self.value(lk) != LBool::False {
+                            self.arena.swap(s + 1, s + k);
+                            self.watches[(!lk).code() as usize]
+                                .push(Watch::new(cref, first, false));
+                            continue 'watchers;
+                        }
+                    }
+                    ws[j] = Watch::new(cref, first, false);
+                    j += 1;
+                    first
+                };
+                // Unit or conflicting.
+                if self.value(first) == LBool::False {
+                    conflict = true;
+                    break;
                 }
                 self.enqueue(first);
             }
-            ws.truncate(j);
+            // Keep the watchers a conflict left unvisited.
+            let kept = j + (ws.len() - i);
+            ws.copy_within(i.., j);
+            ws.truncate(kept);
             self.watches[p.code() as usize] = ws;
+            if conflict {
+                self.qhead = self.trail.len();
+                return true;
+            }
         }
         false
     }
 
     /// Inserts a clause at the root level, classifying it under the
-    /// current root assignment, and propagates to fixpoint.
-    fn insert(&mut self, lits: &[Lit], deletable: bool) {
+    /// current root assignment, and propagates to fixpoint. Returns its
+    /// slot: the stored clause or [`NONE`].
+    fn insert(&mut self, lits: &[Lit], deletable: bool) -> u32 {
         if self.root_conflict {
-            return;
+            return NONE;
         }
-        let mut c: Vec<Lit> = lits.to_vec();
+        let mut c = std::mem::take(&mut self.scratch);
+        c.clear();
+        c.extend_from_slice(lits);
         c.sort_unstable();
         c.dedup();
-        for i in 0..c.len().saturating_sub(1) {
-            if c[i + 1] == !c[i] {
-                return; // tautology: never propagates, skip
-            }
+        let slot = self.insert_sorted(&mut c, deletable);
+        self.scratch = c;
+        slot
+    }
+
+    fn insert_sorted(&mut self, c: &mut [Lit], deletable: bool) -> u32 {
+        if c.windows(2).any(|w| w[1] == !w[0]) {
+            return NONE; // tautology: never propagates, skip
         }
-        let key = c.clone();
+        let hash = deletable.then(|| set_hash(c));
         // Partition: move non-false literals to the front.
         let mut n_nonfalse = 0;
         for i in 0..c.len() {
@@ -240,77 +383,203 @@ impl Checker {
         match n_nonfalse {
             0 => {
                 self.root_conflict = true;
+                NONE
             }
             1 => {
-                match self.value(c[0]) {
-                    LBool::True => {} // satisfied at root forever
-                    LBool::Undef => {
-                        self.enqueue(c[0]);
-                        if self.propagate() {
-                            self.root_conflict = true;
-                        }
+                if self.value(c[0]) == LBool::Undef {
+                    self.enqueue(c[0]);
+                    if self.propagate() {
+                        self.root_conflict = true;
                     }
-                    LBool::False => unreachable!("partitioned as non-false"),
                 }
+                NONE // satisfied at root forever
             }
             _ => {
-                let cid = self.clauses.len() as u32;
-                self.watches[(!c[0]).code() as usize].push(cid);
-                self.watches[(!c[1]).code() as usize].push(cid);
-                self.clauses.push(c);
-                self.alive.push(true);
-                if deletable {
-                    self.by_key.entry(key).or_default().push(cid);
+                let cref = self.headers.len() as u32;
+                let binary = c.len() == 2;
+                self.watches[(!c[0]).code() as usize].push(Watch::new(cref, c[1], binary));
+                self.watches[(!c[1]).code() as usize].push(Watch::new(cref, c[0], binary));
+                self.headers.push(Header {
+                    start: self.arena.len() as u32,
+                    len: c.len() as u32,
+                    alive: true,
+                });
+                self.arena.extend_from_slice(c);
+                let mut prev = NONE;
+                if let Some(h) = hash {
+                    prev = self.by_hash.insert(h, cref).unwrap_or(NONE);
                 }
+                self.same_hash.push(prev);
+                cref
             }
         }
     }
 
     /// Checks that `clause` is a reverse-unit-propagation consequence of
     /// the live database: assuming its negation must propagate to a
-    /// conflict.
-    fn is_rup(&mut self, clause: &[Lit]) -> bool {
+    /// conflict. `chain` is tried first (see the module docs).
+    fn rup(&mut self, clause: &[Lit], chain: &[u32]) -> Rup {
         if self.root_conflict {
-            return true;
+            return Rup::Trivial;
         }
         let mark = self.trail.len();
-        let mut conflict = false;
+        let mut contradictory = false;
         for &l in clause {
             match self.value(!l) {
                 LBool::True => {}
                 LBool::False => {
-                    conflict = true;
+                    contradictory = true;
                     break;
                 }
                 LBool::Undef => self.enqueue(!l),
             }
         }
-        if !conflict {
-            conflict = self.propagate();
-        }
+        let outcome = if contradictory {
+            Rup::Trivial
+        } else if self.replay(chain) {
+            Rup::Hinted
+        } else if self.propagate() {
+            Rup::Propagated
+        } else {
+            Rup::Failed
+        };
         for idx in mark..self.trail.len() {
             self.assigns[self.trail[idx].var().index() as usize] = LBool::Undef;
         }
         self.trail.truncate(mark);
         self.qhead = mark;
-        conflict
+        outcome
     }
 
-    /// Removes one derived clause with the given literal set, if any.
-    /// Returns `false` when nothing matched (the deletion is skipped).
-    fn delete(&mut self, lits: &[Lit]) -> bool {
-        let mut key: Vec<Lit> = lits.to_vec();
-        key.sort_unstable();
-        key.dedup();
-        if let Some(ids) = self.by_key.get_mut(&key) {
-            while let Some(cid) = ids.pop() {
-                if self.alive[cid as usize] {
-                    self.alive[cid as usize] = false;
-                    return true;
+    /// Walks a hint chain under the current assignment, assigning the
+    /// literal of each clause that is unit; returns `true` when a clause
+    /// on the chain is falsified. Stops, returning `false`, at an id that
+    /// names no live clause inserted before the current step, or at a
+    /// clause with two unassigned literals.
+    fn replay(&mut self, chain: &[u32]) -> bool {
+        for &id in chain {
+            let slot = if id & LEMMA_TAG == 0 {
+                self.premises.get(id as usize)
+            } else {
+                self.lemmas.get((id & !LEMMA_TAG) as usize)
+            };
+            let cref = match slot {
+                Some(&NONE) => continue, // satisfied at the root
+                Some(&cref) if self.headers[cref as usize].alive => cref,
+                _ => return false,
+            };
+            let mut unassigned = 0;
+            let mut unit = Lit::default();
+            let mut satisfied = false;
+            for &l in self.lits(cref) {
+                match self.value(l) {
+                    LBool::True => {
+                        satisfied = true;
+                        break;
+                    }
+                    LBool::Undef => {
+                        unassigned += 1;
+                        unit = l;
+                    }
+                    LBool::False => {}
                 }
+            }
+            match (satisfied, unassigned) {
+                (true, _) => {}
+                (false, 0) => return true,
+                (false, 1) => self.enqueue(unit),
+                _ => return false,
             }
         }
         false
+    }
+
+    /// Removes the most recently stored derived clause with the given
+    /// literal set, if any. Returns `false` when nothing matched (the
+    /// deletion is skipped).
+    fn delete(&mut self, lits: &[Lit]) -> bool {
+        let mut key = std::mem::take(&mut self.scratch);
+        key.clear();
+        key.extend_from_slice(lits);
+        key.sort_unstable();
+        key.dedup();
+        let hash = set_hash(&key);
+        let mut prev = NONE;
+        let mut cur = self.by_hash.get(&hash).copied().unwrap_or(NONE);
+        while cur != NONE {
+            let same = self.lits(cur).len() == key.len()
+                && self.lits(cur).iter().all(|l| key.binary_search(l).is_ok());
+            if same {
+                break;
+            }
+            prev = cur;
+            cur = self.same_hash[cur as usize];
+        }
+        self.scratch = key;
+        if cur == NONE {
+            return false;
+        }
+        let next = self.same_hash[cur as usize];
+        if prev != NONE {
+            self.same_hash[prev as usize] = next;
+        } else if next != NONE {
+            self.by_hash.insert(hash, next);
+        } else {
+            self.by_hash.remove(&hash);
+        }
+        self.headers[cur as usize].alive = false;
+        true
+    }
+
+    /// Runs the whole check of `cert`.
+    fn check(&mut self, cert: &Certificate<'_>) -> Result<CheckStats, ProofError> {
+        let mut stats = CheckStats {
+            conclusion_len: cert.conclusion.len(),
+            ..CheckStats::default()
+        };
+        for (i, premise) in cert.premises.iter().enumerate() {
+            check_range(cert.num_vars, "premise", i, premise)?;
+            let slot = self.insert(premise, false);
+            self.premises.push(slot);
+            stats.premises += 1;
+        }
+        for (i, step) in cert.steps.iter().enumerate() {
+            match step {
+                ProofStep::Add(lits) => {
+                    check_range(cert.num_vars, "derivation", i, lits)?;
+                    match self.rup(lits, cert.chains.get(self.lemmas.len())) {
+                        Rup::Trivial => {}
+                        Rup::Hinted => self.work.hinted += 1,
+                        Rup::Propagated => self.work.fallback += 1,
+                        Rup::Failed => {
+                            self.work.fallback += 1;
+                            return Err(ProofError::NotRup { step: i });
+                        }
+                    }
+                    let slot = self.insert(lits, true);
+                    self.lemmas.push(slot);
+                    stats.additions += 1;
+                }
+                ProofStep::Delete(lits) => {
+                    check_range(cert.num_vars, "deletion", i, lits)?;
+                    if self.delete(lits) {
+                        stats.deletions += 1;
+                    } else {
+                        stats.ignored_deletions += 1;
+                    }
+                }
+            }
+        }
+        check_range(cert.num_vars, "conclusion", 0, cert.conclusion)?;
+        for &l in cert.conclusion {
+            if !cert.assumptions.contains(&!l) {
+                return Err(ProofError::ConclusionNotOnAssumptions { lit: l });
+            }
+        }
+        if let Rup::Failed = self.rup(cert.conclusion, &[]) {
+            return Err(ProofError::ConclusionNotRup);
+        }
+        Ok(stats)
     }
 }
 
@@ -332,6 +601,13 @@ fn check_range(
     Ok(())
 }
 
+/// Checks `cert`, returning the verdict and the work it took.
+fn check_with_work(cert: &Certificate<'_>) -> (Result<CheckStats, ProofError>, Work) {
+    let mut checker = Checker::new(cert.num_vars);
+    let outcome = checker.check(cert);
+    (outcome, checker.work)
+}
+
 /// Forward-checks a complete certificate.
 ///
 /// Verifies, in order: every premise and step literal is in range; every
@@ -341,58 +617,24 @@ fn check_range(
 /// database. An empty conclusion therefore certifies that the premises
 /// alone are unsatisfiable.
 ///
+/// The certificate's hint chains only speed the RUP checks up: the same
+/// certificate with [`HintChains::default`](axmc_sat::HintChains) yields
+/// the same result.
+///
 /// # Errors
 ///
 /// Returns the first [`ProofError`] encountered; a returned `Ok` means
 /// the `Unsat` verdict is independently established by the certificate.
 pub fn check_certificate(cert: &Certificate<'_>) -> Result<CheckStats, ProofError> {
-    let mut checker = Checker::new(cert.num_vars);
-    let mut stats = CheckStats {
-        conclusion_len: cert.conclusion.len(),
-        ..CheckStats::default()
-    };
-    for (i, premise) in cert.premises.iter().enumerate() {
-        check_range(cert.num_vars, "premise", i, premise)?;
-        checker.insert(premise, false);
-        stats.premises += 1;
-    }
-    for (i, step) in cert.steps.iter().enumerate() {
-        match step {
-            ProofStep::Add(lits) => {
-                check_range(cert.num_vars, "derivation", i, lits)?;
-                if !checker.is_rup(lits) {
-                    return Err(ProofError::NotRup { step: i });
-                }
-                checker.insert(lits, true);
-                stats.additions += 1;
-            }
-            ProofStep::Delete(lits) => {
-                check_range(cert.num_vars, "deletion", i, lits)?;
-                if checker.delete(lits) {
-                    stats.deletions += 1;
-                } else {
-                    stats.ignored_deletions += 1;
-                }
-            }
-        }
-    }
-    check_range(cert.num_vars, "conclusion", 0, cert.conclusion)?;
-    for &l in cert.conclusion {
-        if !cert.assumptions.contains(&!l) {
-            return Err(ProofError::ConclusionNotOnAssumptions { lit: l });
-        }
-    }
-    if !checker.is_rup(cert.conclusion) {
-        return Err(ProofError::ConclusionNotRup);
-    }
-    stats.propagations = checker.propagations;
-    Ok(stats)
+    check_with_work(cert).0
 }
 
 /// Fetches and forward-checks the certificate of `solver`'s most recent
-/// `Unsat` answer, recording proof size and check time via `axmc-obs`
-/// (`check.certified` / `check.rejected` counters, `check.proof.steps`
-/// and `check.proof.premises` histograms, `check.certify.time_us` span).
+/// `Unsat` answer, recording proof size and check effort via `axmc-obs`
+/// (`check.certified` / `check.rejected` counters, `check.lemmas.hinted`
+/// / `check.lemmas.fallback` counters, `check.proof.steps`,
+/// `check.proof.premises` and `check.certify.propagations` histograms,
+/// `check.certify.time_us` span).
 ///
 /// # Errors
 ///
@@ -402,15 +644,17 @@ pub fn check_certificate(cert: &Certificate<'_>) -> Result<CheckStats, ProofErro
 pub fn certify_unsat(solver: &Solver) -> Result<CheckStats, CertifyError> {
     let cert = solver.certificate().ok_or(CertifyError::NoCertificate)?;
     let timer = axmc_obs::span("check.certify.time_us");
-    let outcome = check_certificate(&cert);
+    let (outcome, work) = check_with_work(&cert);
     let time_us = timer.finish();
     if axmc_obs::enabled() {
+        axmc_obs::counter("check.lemmas.hinted").add(work.hinted);
+        axmc_obs::counter("check.lemmas.fallback").add(work.fallback);
+        axmc_obs::histogram("check.certify.propagations").record(work.propagations);
         match &outcome {
-            Ok(stats) => {
+            Ok(_) => {
                 axmc_obs::counter("check.certified").inc();
                 axmc_obs::histogram("check.proof.steps").record(cert.steps.len() as u64);
                 axmc_obs::histogram("check.proof.premises").record(cert.premises.len() as u64);
-                axmc_obs::histogram("check.certify.propagations").record(stats.propagations);
             }
             Err(_) => {
                 axmc_obs::counter("check.rejected").inc();
@@ -476,7 +720,8 @@ pub fn format_drat(steps: &[ProofStep]) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`ParseDratError`] on junk tokens or unterminated lines.
+/// Returns [`ParseDratError`] on junk tokens, literals beyond
+/// [`MAX_VARS`], or unterminated lines.
 pub fn parse_drat(text: &str) -> Result<Vec<ProofStep>, ParseDratError> {
     let mut steps = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -503,6 +748,11 @@ pub fn parse_drat(text: &str) -> Result<Vec<ProofStep>, ParseDratError> {
             })?;
             if v == 0 {
                 terminated = true;
+            } else if v.unsigned_abs() > MAX_VARS {
+                return Err(ParseDratError {
+                    line: lineno + 1,
+                    message: format!("literal {v} exceeds the representable maximum {MAX_VARS}"),
+                });
             } else {
                 lits.push(Lit::from_dimacs(v));
             }
@@ -525,7 +775,7 @@ pub fn parse_drat(text: &str) -> Result<Vec<ProofStep>, ParseDratError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axmc_sat::{SolveResult, SolverConfig, Var};
+    use axmc_sat::{HintChains, SolveResult, SolverConfig, Var};
 
     /// A fresh solver with proof logging armed from the start.
     fn logging_solver() -> Solver {
@@ -606,6 +856,7 @@ mod tests {
             steps: &steps,
             conclusion: &[],
             assumptions: &[],
+            chains: HintChains::default(),
         };
         assert_eq!(
             check_certificate(&cert),
@@ -623,6 +874,7 @@ mod tests {
             steps: &[],
             conclusion: &[],
             assumptions: &[],
+            chains: HintChains::default(),
         };
         assert_eq!(check_certificate(&cert), Err(ProofError::ConclusionNotRup));
     }
@@ -636,6 +888,7 @@ mod tests {
             steps: &[],
             conclusion: &[],
             assumptions: &[],
+            chains: HintChains::default(),
         };
         assert!(matches!(
             check_certificate(&cert),
@@ -705,6 +958,7 @@ mod tests {
             steps: &steps,
             conclusion: &[],
             assumptions: &[],
+            chains: HintChains::default(),
         };
         assert_eq!(
             check_certificate(&cert),
@@ -732,6 +986,180 @@ mod tests {
         assert!(parse_drat("1 2\n").is_err()); // missing terminator
         assert!(parse_drat("1 0 2\n").is_err()); // token after terminator
         assert!(parse_drat("c comment\n\nd 1 0\n").is_ok());
+    }
+
+    #[test]
+    fn parse_drat_rejects_literals_beyond_max_vars() {
+        // Each would otherwise truncate to a small variable: 2^31 + 1 and
+        // 2^32 + 1 both alias x0.
+        for v in [
+            "2147483649",
+            "4294967297",
+            "-4294967297",
+            &i64::MAX.to_string(),
+            &i64::MIN.to_string(),
+        ] {
+            let err = parse_drat(&format!("1 0\nd {v} 0\n")).expect_err(v);
+            assert_eq!(err.line, 2, "{v}");
+            assert!(err.to_string().contains("exceeds"), "{v}: {err}");
+        }
+        let top = MAX_VARS as i64;
+        assert_eq!(
+            parse_drat(&format!("{top} -{top} 0\n")).unwrap(),
+            vec![ProofStep::Add(vec![
+                Lit::from_dimacs(top),
+                Lit::from_dimacs(-top)
+            ])]
+        );
+    }
+
+    #[test]
+    fn learnt_clauses_close_by_their_chains() {
+        let mut s = pigeonhole(5, 4);
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        let cert = s.certificate().unwrap();
+        let (outcome, work) = check_with_work(&cert);
+        let stats = outcome.expect("valid refutation");
+        assert_eq!(work.hinted + work.fallback, stats.additions as u64);
+        assert!(
+            work.fallback * 100 <= work.hinted,
+            "chains should close nearly every lemma: {work:?}"
+        );
+        let (_, unhinted) = check_with_work(&Certificate {
+            chains: HintChains::default(),
+            ..cert
+        });
+        assert_eq!(unhinted.hinted, 0);
+        assert!(
+            work.propagations < unhinted.propagations,
+            "{work:?} vs {unhinted:?}"
+        );
+    }
+
+    #[test]
+    fn garbage_chains_check_exactly_like_none() {
+        let mut s = pigeonhole(5, 4);
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        let cert = s.certificate().unwrap();
+        let bare = Certificate {
+            chains: HintChains::default(),
+            ..cert
+        };
+        // Every id garbage: premises and lemmas past the end, ids of
+        // later lemmas, and valid but unrelated clauses.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let ids: Vec<u32> = cert
+            .chains
+            .ids
+            .iter()
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let raw = (x >> 32) as u32;
+                match x % 4 {
+                    0 => raw,
+                    1 => LEMMA_TAG | raw,
+                    2 => raw % cert.premises.len() as u32,
+                    _ => LEMMA_TAG | (raw % cert.chains.ends.len() as u32),
+                }
+            })
+            .collect();
+        let garbage = Certificate {
+            chains: HintChains {
+                ids: &ids,
+                ends: cert.chains.ends,
+            },
+            ..cert
+        };
+        let expected = check_certificate(&bare);
+        assert!(expected.is_ok());
+        assert_eq!(check_certificate(&garbage), expected);
+        // The same garbage cannot rescue a corrupted lemma either.
+        let mut steps = cert.steps.to_vec();
+        let k = steps
+            .iter()
+            .position(|s| matches!(s, ProofStep::Add(l) if l.len() > 1))
+            .unwrap();
+        if let ProofStep::Add(lits) = &mut steps[k] {
+            lits.pop();
+        }
+        let corrupted = Certificate {
+            steps: &steps,
+            ..garbage
+        };
+        assert_eq!(
+            check_certificate(&corrupted),
+            check_certificate(&Certificate {
+                steps: &steps,
+                ..bare
+            })
+        );
+    }
+
+    #[test]
+    fn chains_through_deleted_clauses_do_not_close() {
+        // (x) is RUP with the lemma (x ∨ y) and not without it: from ¬x,
+        // every premise keeps two unassigned literals. Its chain names
+        // the lemma, which was deleted first.
+        let [x, y, z, u] = [0, 1, 2, 3].map(|v| Var::new(v).positive());
+        let premises = vec![vec![x, y, z], vec![x, y, !z], vec![!y, u], vec![x, !y, !u]];
+        let steps = vec![
+            ProofStep::Add(vec![x, y]),
+            ProofStep::Delete(vec![x, y]),
+            ProofStep::Add(vec![x]),
+        ];
+        let ids = [0, 1, LEMMA_TAG, 2, 3];
+        let ends = [2, 5];
+        let cert = |chains| Certificate {
+            num_vars: 4,
+            premises: &premises,
+            steps: &steps,
+            conclusion: &[],
+            assumptions: &[],
+            chains,
+        };
+        let expected = Err(ProofError::NotRup { step: 2 });
+        assert_eq!(check_certificate(&cert(HintChains::default())), expected);
+        assert_eq!(
+            check_certificate(&cert(HintChains {
+                ids: &ids,
+                ends: &ends
+            })),
+            expected
+        );
+    }
+
+    #[test]
+    fn duplicate_derived_clauses_are_deleted_one_at_a_time() {
+        // Two derived copies of (a ∨ b), in different literal orders:
+        // two deletions match, the third finds only the premise, which
+        // is never deletable.
+        let a = Var::new(0).positive();
+        let b = Var::new(1).positive();
+        let premises = vec![vec![a, b], vec![a, !b], vec![!a, b], vec![!a, !b]];
+        let steps = vec![
+            ProofStep::Add(vec![b, a]),
+            ProofStep::Add(vec![a, b, a]),
+            ProofStep::Delete(vec![a, b]),
+            ProofStep::Delete(vec![b, a, b]),
+            ProofStep::Delete(vec![a, b]),
+            ProofStep::Add(vec![a]),
+            ProofStep::Add(vec![]),
+        ];
+        let stats = check_certificate(&Certificate {
+            num_vars: 2,
+            premises: &premises,
+            steps: &steps,
+            conclusion: &[],
+            assumptions: &[],
+            chains: HintChains::default(),
+        })
+        .expect("valid refutation");
+        assert_eq!(
+            (stats.additions, stats.deletions, stats.ignored_deletions),
+            (4, 2, 1)
+        );
     }
 
     #[test]

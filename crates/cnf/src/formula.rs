@@ -1,6 +1,6 @@
 //! A standalone CNF formula container with DIMACS I/O.
 
-use axmc_sat::Lit;
+use axmc_sat::{Lit, MAX_VARS};
 use std::fmt;
 
 /// A propositional formula in conjunctive normal form.
@@ -100,9 +100,6 @@ impl Cnf {
     /// duplicated header, a junk token, an out-of-range literal, an
     /// unterminated final clause, or a header/body clause-count mismatch.
     pub fn from_dimacs(text: &str) -> Result<Self, ParseDimacsError> {
-        // The solver packs a literal as `2 * var + sign` in a `u32`, so
-        // the largest representable DIMACS variable is (u32::MAX - 1) / 2.
-        const MAX_VARS: u64 = (u32::MAX as u64 - 1) / 2;
         let mut cnf = Cnf::new(0);
         let mut header_vars = 0u64;
         let mut header_clauses = 0usize;

@@ -60,7 +60,7 @@ use axmc_miter::{
     accumulated_error_miter, error_cycle_count_miter, sequential_diff_miter,
     sequential_diff_word_miter, sequential_popcount_word_miter, sequential_strict_miter,
 };
-use axmc_sat::{Budget, Interrupt, Lit, ResourceCtl, SolveResult};
+use axmc_sat::{Budget, Certificate, Interrupt, Lit, ResourceCtl, SolveResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How one persistent threshold probe interprets the miter's output word.
@@ -1004,6 +1004,13 @@ impl SeqProbe {
     /// Total solver conflicts accumulated across the session so far.
     pub fn conflicts(&self) -> u64 {
         self.engine.conflicts()
+    }
+
+    /// The certificate of the session solver's most recent `Unsat`
+    /// answer, for an independent check; `None` unless the session is
+    /// certified and its last frame solve was `Unsat`.
+    pub fn certificate(&self) -> Option<Certificate<'_>> {
+        self.engine.unroller.solver().certificate()
     }
 }
 

@@ -64,5 +64,7 @@ mod types;
 
 pub use crate::config::{InprocessConfig, SolverConfig};
 pub use crate::ctl::{CancelToken, Interrupt, ResourceCtl};
-pub use crate::solver::{Budget, Certificate, ProofStep, SolveResult, Solver, SolverStats};
-pub use crate::types::{LBool, Lit, Var};
+pub use crate::solver::{
+    Budget, Certificate, HintChains, ProofStep, SolveResult, Solver, SolverStats, LEMMA_TAG,
+};
+pub use crate::types::{LBool, Lit, Var, MAX_VARS};

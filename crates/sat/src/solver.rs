@@ -125,7 +125,17 @@ pub enum ProofStep {
     Delete(Vec<Lit>),
 }
 
-/// The in-memory proof buffer of a logging solver.
+/// Tag bit of a lemma id in a hint chain. In a proof-logging solver
+/// premise `i` has id `i` and the `j`-th [`ProofStep::Add`] (counting
+/// additions only) has id `LEMMA_TAG | j`.
+pub const LEMMA_TAG: u32 = 1 << 31;
+
+/// The proof id of a clause the log knows no id for; it names no clause.
+const NO_ID: u32 = u32::MAX;
+
+/// The in-memory proof buffer of a logging solver. Everything a logging
+/// solver tracks beyond a plain one lives here, so a solver with logging
+/// off carries none of it.
 #[derive(Clone, Debug, Default)]
 struct ProofLog {
     /// The trusted input clauses, recorded verbatim as passed to
@@ -133,7 +143,19 @@ struct ProofLog {
     /// moment logging was enabled).
     premises: Vec<Vec<Lit>>,
     /// The derivation: learnt-clause additions and deletions, in order.
+    /// Only [`ProofLog::record`] appends to it.
     steps: Vec<ProofStep>,
+    /// The hint chains of all `Add` steps, concatenated.
+    hints: Vec<u32>,
+    /// The end of each `Add` step's chain in `hints`.
+    hint_ends: Vec<u32>,
+    /// The proof id of every clause the solver holds, by clause
+    /// reference (`NO_ID` where none was recorded).
+    ids: Vec<u32>,
+    /// A trail position per variable, refreshed lazily by chain capture;
+    /// an entry is valid only while the trail still holds its variable
+    /// at that position.
+    trail_pos: Vec<u32>,
     /// The conclusion clause of the most recent `Unsat` answer: empty for
     /// an unconditional refutation, otherwise a subset of the negated
     /// assumptions. `None` when the last answer was not `Unsat`.
@@ -146,9 +168,93 @@ struct ProofLog {
     root_units_logged: usize,
 }
 
+impl ProofLog {
+    /// Appends one derivation step. This is the only way steps enter the
+    /// log, so `steps` and the chain view cannot drift apart. An `Add`
+    /// takes the next lemma id, which is returned, and as its hint chain
+    /// the ids pushed onto `hints` since the previous `Add` (none for
+    /// every step but a learnt clause). A `Delete` returns `NO_ID`.
+    fn record(&mut self, step: ProofStep) -> u32 {
+        let id = match step {
+            ProofStep::Add(_) => {
+                let j = self.hint_ends.len() as u32;
+                debug_assert!(j < LEMMA_TAG, "lemma id overflow");
+                self.hint_ends.push(self.hints.len() as u32);
+                LEMMA_TAG | j
+            }
+            ProofStep::Delete(_) => NO_ID,
+        };
+        self.steps.push(step);
+        id
+    }
+
+    fn set_id(&mut self, cref: u32, id: u32) {
+        let i = cref as usize;
+        if self.ids.len() <= i {
+            self.ids.resize(i + 1, NO_ID);
+        }
+        self.ids[i] = id;
+    }
+
+    fn id(&self, cref: u32) -> u32 {
+        self.ids.get(cref as usize).copied().unwrap_or(NO_ID)
+    }
+
+    /// Makes `trail_pos[v]` valid for `v`, assigned at decision level
+    /// `level > 0`. A stale entry refreshes the positions of that level's
+    /// whole trail segment, so each assignment is recorded at most once.
+    fn refresh_trail_pos(&mut self, trail: &[Lit], trail_lim: &[usize], level: u32, v: Var) {
+        let p = self.trail_pos[v.index() as usize];
+        if trail.get(p as usize).is_some_and(|l| l.var() == v) {
+            return;
+        }
+        let lo = trail_lim[level as usize - 1];
+        let hi = trail_lim
+            .get(level as usize)
+            .copied()
+            .unwrap_or(trail.len());
+        for (pos, l) in trail.iter().enumerate().take(hi).skip(lo) {
+            self.trail_pos[l.var().index() as usize] = pos as u32;
+        }
+    }
+}
+
+/// The hint chains of a [`Certificate`]: for each [`ProofStep::Add`], a
+/// possibly empty list of clause ids (see [`LEMMA_TAG`]) in the order
+/// their clauses become unit when the added clause's negation is
+/// assumed, ending with the clause that is then falsified.
+///
+/// A chain is a hint, never a premise: a checker that walks it must
+/// still confirm every step by unit propagation, so a wrong or stale
+/// chain can cost time but cannot change a verdict. Certificates built
+/// by hand pass [`HintChains::default`], which has no chains.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct HintChains<'a> {
+    /// Every chain's ids, concatenated: chain `j` is
+    /// `ids[ends[j - 1]..ends[j]]` (from 0 for `j = 0`).
+    pub ids: &'a [u32],
+    /// The end of each chain in `ids`.
+    pub ends: &'a [u32],
+}
+
+impl<'a> HintChains<'a> {
+    /// The chain of the `j`-th `Add` step; empty when there is none or
+    /// the stored bounds are malformed.
+    pub fn get(&self, j: usize) -> &'a [u32] {
+        let Some(&end) = self.ends.get(j) else {
+            return &[];
+        };
+        let start = match j {
+            0 => 0,
+            _ => self.ends[j - 1],
+        };
+        self.ids.get(start as usize..end as usize).unwrap_or(&[])
+    }
+}
+
 /// A borrowed view of everything needed to independently re-check an
-/// `Unsat` verdict: premises, derivation steps, the concluded clause and
-/// the assumptions it is expressed over.
+/// `Unsat` verdict: premises, derivation steps with their hint chains,
+/// the concluded clause and the assumptions it is expressed over.
 ///
 /// Produced by [`Solver::certificate`]; consumed by the `axmc-check`
 /// forward RUP/DRAT checker.
@@ -166,6 +272,8 @@ pub struct Certificate<'a> {
     pub conclusion: &'a [Lit],
     /// The assumptions the `Unsat` answer was conditional on.
     pub assumptions: &'a [Lit],
+    /// The hint chain of each `Add` step.
+    pub chains: HintChains<'a>,
 }
 
 /// Clause header; the literals live in the solver's shared arena at
@@ -426,8 +534,9 @@ impl Solver {
             return;
         }
         let mut log = ProofLog::default();
-        for c in &self.clauses {
+        for (cref, c) in self.clauses.iter().enumerate() {
             if !c.deleted {
+                log.set_id(cref as u32, log.premises.len() as u32);
                 log.premises
                     .push(self.arena[c.start as usize..(c.start + c.len) as usize].to_vec());
             }
@@ -459,6 +568,10 @@ impl Solver {
             steps: &log.steps,
             conclusion,
             assumptions: &log.assumptions,
+            chains: HintChains {
+                ids: &log.hints,
+                ends: &log.hint_ends,
+            },
         })
     }
 
@@ -498,10 +611,20 @@ impl Solver {
         Some(String::from_utf8(buf).expect("DRAT text is ASCII"))
     }
 
+    /// Records `step` when logging; returns its proof id (see
+    /// [`ProofLog::record`]).
     #[inline]
-    fn log_step(&mut self, step: ProofStep) {
-        if let Some(log) = self.proof.as_mut() {
-            log.steps.push(step);
+    fn log_step(&mut self, step: ProofStep) -> u32 {
+        match self.proof.as_deref_mut() {
+            Some(log) => log.record(step),
+            None => NO_ID,
+        }
+    }
+
+    /// Gives the clause at `cref` the proof id `id`, when logging.
+    fn set_proof_id(&mut self, cref: u32, id: u32) {
+        if let Some(log) = self.proof.as_deref_mut() {
+            log.set_id(cref, id);
         }
     }
 
@@ -555,9 +678,10 @@ impl Solver {
                 );
             }
         }
-        if let Some(log) = self.proof.as_mut() {
+        let premise = self.proof.as_deref_mut().map(|log| {
             log.premises.push(lits.to_vec());
-        }
+            (log.premises.len() - 1) as u32
+        });
         let mut c: Vec<Lit> = lits.to_vec();
         c.sort_unstable();
         c.dedup();
@@ -586,7 +710,10 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.alloc_clause(filtered, false);
+                let cref = self.alloc_clause(filtered, false);
+                if let Some(id) = premise {
+                    self.set_proof_id(cref, id);
+                }
                 true
             }
         }
@@ -805,16 +932,34 @@ impl Solver {
 
     /// First-UIP conflict analysis. Returns the learnt clause (asserting
     /// literal first) and the backtrack level.
-    fn analyze(&mut self, mut confl: u32) -> (Vec<Lit>, u32) {
+    ///
+    /// With `LOG` (proof logging on), it also pushes the clause's hint
+    /// chain onto the log's `hints`, for the `Add` step recorded next.
+    /// The chain lists, in trail order, the reasons of the literals that
+    /// minimization removed, then the reasons of the literals resolved
+    /// at the conflict level, then the conflict clause; level-0 literals
+    /// get no entry. The `LOG = false` instantiation does none of this.
+    fn analyze<const LOG: bool>(&mut self, mut confl: u32) -> (Vec<Lit>, u32) {
         let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // slot for the UIP
         let mut path_count: u32 = 0;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         let mut to_clear: Vec<Var> = Vec::new();
         let current = self.decision_level();
+        let chain_start = if LOG {
+            self.proof.as_deref().map_or(0, |log| log.hints.len())
+        } else {
+            0
+        };
 
         loop {
             debug_assert_ne!(confl, NO_REASON, "decision reached during analysis");
+            if LOG {
+                // Reverse trail order for now; reversed in place below.
+                if let Some(log) = self.proof.as_deref_mut() {
+                    log.hints.push(log.id(confl));
+                }
+            }
             if self.clauses[confl as usize].learnt {
                 self.bump_clause(confl);
             }
@@ -858,10 +1003,16 @@ impl Solver {
 
         // Local clause minimization: drop literals implied by the rest.
         let mut minimized = vec![learnt[0]];
+        let mut removed: Vec<Lit> = Vec::new();
         for &l in &learnt[1..] {
             if !self.implied_by_seen(l) {
                 minimized.push(l);
+            } else if LOG {
+                removed.push(l);
             }
+        }
+        if LOG {
+            self.push_removed_reasons(&mut removed, chain_start);
         }
         let mut learnt = minimized;
 
@@ -886,6 +1037,35 @@ impl Solver {
             self.level[learnt[1].var().index() as usize]
         };
         (learnt, bt_level)
+    }
+
+    /// Completes the hint chain of the clause `analyze` just learnt: the
+    /// reasons of the literals minimization `removed` go in reverse trail
+    /// order after the conflict-level part, then the whole chain from
+    /// `chain_start` is reversed into trail order. A removed literal's
+    /// reason may mention another removed literal, which the trail
+    /// assigned first, so the order matters.
+    fn push_removed_reasons(&mut self, removed: &mut [Lit], chain_start: usize) {
+        let Some(log) = self.proof.as_deref_mut() else {
+            return;
+        };
+        if removed.len() > 1 {
+            if log.trail_pos.len() < self.assigns.len() {
+                log.trail_pos.resize(self.assigns.len(), u32::MAX);
+            }
+            for l in removed.iter() {
+                let v = l.var();
+                let level = self.level[v.index() as usize];
+                log.refresh_trail_pos(&self.trail, &self.trail_lim, level, v);
+            }
+            let pos = &log.trail_pos;
+            removed.sort_unstable_by_key(|l| std::cmp::Reverse(pos[l.var().index() as usize]));
+        }
+        for l in removed.iter() {
+            let id = log.id(self.reason[l.var().index() as usize]);
+            log.hints.push(id);
+        }
+        log.hints[chain_start..].reverse();
     }
 
     /// A literal is redundant if its reason clause's other literals are all
@@ -1140,10 +1320,14 @@ impl Solver {
                         self.ok = false;
                         break 'outer SolveResult::Unsat;
                     }
-                    let (learnt, bt) = self.analyze(confl);
-                    if self.proof.is_some() {
-                        self.log_step(ProofStep::Add(learnt.clone()));
-                    }
+                    let (learnt, bt, id) = if self.proof.is_some() {
+                        let (learnt, bt) = self.analyze::<true>(confl);
+                        let id = self.log_step(ProofStep::Add(learnt.clone()));
+                        (learnt, bt, id)
+                    } else {
+                        let (learnt, bt) = self.analyze::<false>(confl);
+                        (learnt, bt, NO_ID)
+                    };
                     self.cancel_until(bt);
                     if learnt.len() == 1 {
                         if let Some(h) = &self.lbd_hist {
@@ -1157,6 +1341,7 @@ impl Solver {
                         }
                         let first = learnt[0];
                         let cref = self.alloc_clause(learnt, true);
+                        self.set_proof_id(cref, id);
                         self.clauses[cref as usize].lbd = lbd;
                         self.bump_clause(cref);
                         self.unchecked_enqueue(first, cref);

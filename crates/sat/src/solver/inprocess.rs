@@ -86,7 +86,7 @@ impl Solver {
             return;
         };
         for &l in &self.trail[log.root_units_logged..] {
-            log.steps.push(ProofStep::Add(vec![l]));
+            log.record(ProofStep::Add(vec![l]));
         }
         log.root_units_logged = self.trail.len();
     }
@@ -109,9 +109,11 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        if self.proof.is_some() {
-            self.log_step(ProofStep::Add(lits.to_vec()));
-        }
+        let id = if self.proof.is_some() {
+            self.log_step(ProofStep::Add(lits.to_vec()))
+        } else {
+            NO_ID
+        };
         let mut c: Vec<Lit> = lits.to_vec();
         c.sort_unstable();
         c.dedup();
@@ -139,7 +141,8 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.alloc_clause(filtered, false);
+                let cref = self.alloc_clause(filtered, false);
+                self.set_proof_id(cref, id);
                 true
             }
         }
@@ -224,8 +227,10 @@ impl Solver {
                 debug_assert!(new_lits.len() >= 2);
                 if self.proof.is_some() {
                     let old = self.lits(cref).to_vec();
-                    self.log_step(ProofStep::Add(new_lits.clone()));
+                    let id = self.log_step(ProofStep::Add(new_lits.clone()));
                     self.log_step(ProofStep::Delete(old));
+                    // The rewritten clause is the one this Add derived.
+                    self.set_proof_id(cref, id);
                 }
                 self.replace_lits(cref, &new_lits);
                 stripped += 1;

@@ -54,6 +54,12 @@ impl fmt::Display for Var {
     }
 }
 
+/// The largest DIMACS variable a [`Lit`] can hold: a literal packs as
+/// `2 * var + sign` in a `u32`, so variables are `1..=MAX_VARS` in DIMACS
+/// numbering. Parsers of untrusted DIMACS or DRAT text reject anything
+/// larger instead of letting it alias a small variable.
+pub const MAX_VARS: u64 = (u32::MAX as u64 - 1) / 2;
+
 /// A SAT literal (`2 * var + sign` packing).
 ///
 /// # Examples
@@ -115,9 +121,13 @@ impl Lit {
     ///
     /// # Panics
     ///
-    /// Panics if `dimacs == 0`.
+    /// Panics if `dimacs == 0` or its magnitude exceeds [`MAX_VARS`].
     pub fn from_dimacs(dimacs: i64) -> Self {
         assert!(dimacs != 0, "DIMACS literal 0 is the clause terminator");
+        assert!(
+            dimacs.unsigned_abs() <= MAX_VARS,
+            "DIMACS literal {dimacs} exceeds the representable maximum {MAX_VARS}"
+        );
         let var = Var::new((dimacs.unsigned_abs() - 1) as u32);
         Lit::new(var, dimacs < 0)
     }
@@ -228,6 +238,19 @@ mod tests {
     #[should_panic]
     fn dimacs_zero_panics() {
         let _ = Lit::from_dimacs(0);
+    }
+
+    #[test]
+    fn dimacs_range_ends_at_max_vars() {
+        let top = Lit::from_dimacs(-(MAX_VARS as i64));
+        assert_eq!(top.to_dimacs(), -(MAX_VARS as i64));
+        assert_eq!(top.code(), u32::MAX - 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the representable maximum")]
+    fn dimacs_beyond_max_vars_panics() {
+        let _ = Lit::from_dimacs(MAX_VARS as i64 + 1);
     }
 
     #[test]

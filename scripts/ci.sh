@@ -303,6 +303,42 @@ seq_determinism_smoke() {
 }
 seq_determinism_smoke
 
+# Certification smoke: on the same pair, `--certify` must leave the
+# worst-case and bit-flip values of the uncertified run unchanged,
+# re-derive UNSAT answers with the DRAT checker (check.certified > 0),
+# and close lemmas by the solver's hint chains (check.lemmas.hinted > 0),
+# which shows chain capture reaches the release binary.
+certify_smoke() {
+    echo "== certify smoke =="
+    local dir mode certified hinted
+    dir=$(mktemp -d)
+    cargo run --release --offline --bin axmc -- \
+        gen --kind accumulator --width 6 --out "$dir/g.aag"
+    cargo run --release --offline --bin axmc -- \
+        gen --kind trunc-accumulator --width 6 --param 2 --out "$dir/c.aag"
+    for mode in plain certify; do
+        local flags=(--horizon 6 --metrics)
+        [[ $mode == certify ]] && flags+=(--certify)
+        cargo run --release --offline --bin axmc -- \
+            analyze --golden "$dir/g.aag" --approx "$dir/c.aag" \
+            "${flags[@]}" >"$dir/$mode.txt"
+        grep -E '^(worst-case error@k|bit-flip error@k) ' "$dir/$mode.txt" \
+            | sed 's/ (.*//' >"$dir/values_$mode.txt"
+    done
+    cat "$dir/values_certify.txt"
+    [[ $(wc -l <"$dir/values_plain.txt") -eq 2 ]] \
+        || { echo "worst-case or bit-flip line missing"; exit 1; }
+    cmp "$dir/values_plain.txt" "$dir/values_certify.txt" \
+        || { echo "--certify changed a reported value"; exit 1; }
+    certified=$(grep -E '^  check\.certified ' "$dir/certify.txt" | grep -o '[0-9]\+' | head -1)
+    hinted=$(grep -E '^  check\.lemmas\.hinted ' "$dir/certify.txt" | grep -o '[0-9]\+' | head -1)
+    echo "check.certified: ${certified:-none}, check.lemmas.hinted: ${hinted:-none}"
+    [[ ${certified:-0} -gt 0 ]] || { echo "no UNSAT answer was certified"; exit 1; }
+    [[ ${hinted:-0} -gt 0 ]] || { echo "no lemma was closed by its hint chain"; exit 1; }
+    rm -rf "$dir"
+}
+certify_smoke
+
 # Throughput gate for the static tier's costliest consumer: the T5
 # harness (CGP evaluations/second — every candidate now passes the
 # static pre-screen before a solver sees it) must not regress against

@@ -5,9 +5,13 @@
 
 use axmc::check::{check_certificate, ProofError};
 use axmc::circuit::{approx, generators};
-use axmc::core::{AnalysisOptions, SeqAnalyzer};
-use axmc::sat::{Certificate, Lit, ProofStep, SolveResult, Solver, SolverConfig, Var};
+use axmc::core::{AnalysisOptions, SeqAnalyzer, SeqProbe, Verdict};
+use axmc::sat::{
+    Certificate, HintChains, Lit, ProofStep, SolveResult, Solver, SolverConfig, Var, LEMMA_TAG,
+};
 use axmc::seq::accumulator;
+use axmc_rand::rngs::StdRng;
+use axmc_rand::{Rng, SeedableRng};
 
 /// A pigeonhole instance (n pigeons, n-1 holes): small, UNSAT, and with a
 /// proof whose steps genuinely depend on one another.
@@ -217,4 +221,161 @@ fn spliced_clause_is_rejected() {
         matches!(err, ProofError::NotRup { step: 0 }),
         "unexpected error: {err}"
     );
+}
+
+/// A certified probe session on the 6-bit accumulator against its
+/// 2-bit truncated variant, left holding the certificate of the probe
+/// "can the error exceed 60 within 6 cycles?" (it cannot: WCE@6 is 60,
+/// so every frame's solve ends `Unsat`).
+fn accumulator_probe() -> SeqProbe {
+    let golden = accumulator(&generators::ripple_carry_adder(6), 6);
+    let approximate = accumulator(&approx::truncated_adder(6, 2), 6);
+    let mut probe = SeqAnalyzer::new(&golden, &approximate)
+        .with_options(AnalysisOptions::new().with_certify(true))
+        .probe_session();
+    let verdict = probe.check_error_exceeds(60, 6).expect("certified probe");
+    assert!(matches!(verdict, Verdict::Proved), "{verdict:?}");
+    probe
+}
+
+/// The ways [`mutant`] corrupts a certificate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mutation {
+    DropLemma,
+    FlipLiteral,
+    DropLiteral,
+    SpliceUnit,
+    /// Replace every chain id at random; on odd mutants, also apply one
+    /// of the step mutations above.
+    ScrambleChains,
+}
+
+const MUTATIONS: [Mutation; 5] = [
+    Mutation::DropLemma,
+    Mutation::FlipLiteral,
+    Mutation::DropLiteral,
+    Mutation::SpliceUnit,
+    Mutation::ScrambleChains,
+];
+
+/// Applies one seeded step mutation to `steps`. The certificate's chain
+/// view is left as it was, so it goes stale around the mutated step.
+fn mutate_steps(steps: &mut Vec<ProofStep>, num_vars: usize, kind: Mutation, rng: &mut StdRng) {
+    let adds: Vec<usize> = (0..steps.len())
+        .filter(|&k| match &steps[k] {
+            ProofStep::Add(lits) => kind != Mutation::DropLiteral || lits.len() > 1,
+            ProofStep::Delete(_) => false,
+        })
+        .collect();
+    let k = adds[rng.gen_range(0..adds.len())];
+    match kind {
+        Mutation::DropLemma => {
+            steps.remove(k);
+        }
+        Mutation::FlipLiteral | Mutation::DropLiteral => {
+            if let ProofStep::Add(lits) = &mut steps[k] {
+                if lits.is_empty() {
+                    lits.push(Var::new(0).positive());
+                }
+                let i = rng.gen_range(0..lits.len());
+                if kind == Mutation::FlipLiteral {
+                    lits[i] = !lits[i];
+                } else {
+                    lits.remove(i);
+                }
+            }
+        }
+        Mutation::SpliceUnit => {
+            let v = Var::new(rng.gen_range(0..num_vars as u32));
+            let unit = ProofStep::Add(vec![Lit::new(v, rng.gen_bool(0.5))]);
+            steps.insert(rng.gen_range(0..=steps.len()), unit);
+        }
+        Mutation::ScrambleChains => unreachable!("not a step mutation"),
+    }
+}
+
+/// Chain ids drawn at random: premises in and out of range, earlier and
+/// later lemmas, and lemma ids past the end.
+fn scrambled_ids(cert: &Certificate<'_>, rng: &mut StdRng) -> Vec<u32> {
+    let premises = cert.premises.len() as u32;
+    let lemmas = cert.chains.ends.len() as u32;
+    cert.chains
+        .ids
+        .iter()
+        .map(|_| match rng.gen_range(0..4u32) {
+            0 => rng.gen_range(0..premises),
+            1 => LEMMA_TAG | rng.gen_range(0..lemmas),
+            2 => rng.gen_range(premises..LEMMA_TAG),
+            _ => LEMMA_TAG | rng.gen_range(lemmas..LEMMA_TAG),
+        })
+        .collect()
+}
+
+/// Checks seeded mutants of `cert` with the chain view the mutant
+/// carries and with none: the two results must be identical. Returns how
+/// many mutants of each kind were rejected.
+fn differential(cert: &Certificate<'_>, per_kind: usize, seed: u64) -> [usize; 5] {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rejected = [0; 5];
+    for (slot, &kind) in MUTATIONS.iter().enumerate() {
+        for i in 0..per_kind {
+            let mut steps = cert.steps.to_vec();
+            let mut ids = cert.chains.ids.to_vec();
+            let step_kind = match kind {
+                Mutation::ScrambleChains => {
+                    ids = scrambled_ids(cert, &mut rng);
+                    (i % 2 == 1).then(|| MUTATIONS[rng.gen_range(0..4usize)])
+                }
+                _ => Some(kind),
+            };
+            if let Some(step_kind) = step_kind {
+                mutate_steps(&mut steps, cert.num_vars, step_kind, &mut rng);
+            }
+            let hinted = check_certificate(&Certificate {
+                steps: &steps,
+                chains: HintChains {
+                    ids: &ids,
+                    ends: cert.chains.ends,
+                },
+                ..*cert
+            });
+            let bare = check_certificate(&Certificate {
+                steps: &steps,
+                chains: HintChains::default(),
+                ..*cert
+            });
+            assert_eq!(hinted, bare, "{kind:?} mutant {i} (seed {seed})");
+            if bare.is_err() {
+                rejected[slot] += 1;
+            }
+        }
+    }
+    rejected
+}
+
+#[test]
+fn hint_chains_never_change_a_verdict() {
+    let probe = accumulator_probe();
+    let solver = refuted_solver();
+    // (name, certificate, mutants per kind, seed)
+    for (name, cert, per_kind, seed) in [
+        ("accumulator6/trunc2 probe", probe.certificate(), 10, 1),
+        ("pigeonhole", solver.certificate(), 24, 2),
+    ] {
+        let cert = cert.expect("the last answer was Unsat");
+        assert!(
+            !cert.chains.ids.is_empty(),
+            "{name}: no hint chains recorded"
+        );
+        let bare = Certificate {
+            chains: HintChains::default(),
+            ..cert
+        };
+        assert_eq!(check_certificate(&cert), check_certificate(&bare), "{name}");
+        assert!(check_certificate(&cert).is_ok(), "{name}");
+        let rejected = differential(&cert, per_kind, seed);
+        for (kind, n) in MUTATIONS.iter().zip(rejected) {
+            assert!(n > 0, "{name}: no {kind:?} mutant was rejected");
+        }
+    }
 }
