@@ -514,6 +514,80 @@ impl Aig {
             .unwrap_or(0)
     }
 
+    /// The sequential depth of the outputs' cone: the largest number of
+    /// latches on any path from a primary input or constant into an
+    /// output, where a latch leads to its next-state node. `None` if the
+    /// cone holds a latch cycle; `Some(0)` for a combinational cone.
+    ///
+    /// From cycle `d = sequential_depth()` on, every output is one fixed
+    /// function of the inputs of cycles `t - d ..= t`, so the outputs
+    /// take the same set of values in every cycle `t >= d`: a bounded
+    /// check of cycles `0..=d` covers every horizon (the structural
+    /// completeness threshold of acyclic netlists).
+    ///
+    /// Linear time, and iterative, so a long latch chain cannot overflow
+    /// the stack.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use axmc_aig::Aig;
+    ///
+    /// // A two-stage shift register.
+    /// let mut aig = Aig::new();
+    /// let x = aig.add_input();
+    /// let a = aig.add_latch(false);
+    /// let b = aig.add_latch(false);
+    /// aig.set_latch_next(0, x);
+    /// aig.set_latch_next(1, a);
+    /// aig.add_output(b);
+    /// assert_eq!(aig.sequential_depth(), Some(2));
+    /// // Feeding the last stage back closes a latch cycle.
+    /// aig.set_latch_next(0, b);
+    /// assert_eq!(aig.sequential_depth(), None);
+    /// ```
+    pub fn sequential_depth(&self) -> Option<usize> {
+        const UNSEEN: u32 = u32::MAX;
+        const OPEN: u32 = u32::MAX - 1;
+        let mut depth = vec![UNSEEN; self.nodes.len()];
+        // (var, expanded): an entry is pushed unexpanded, opens its node
+        // and pushes the node's fanins; the expanded entry closes it once
+        // every fanin is closed.
+        let mut stack: Vec<(u32, bool)> = Vec::new();
+        let mut deepest = 0;
+        for &out in &self.outputs {
+            stack.push((out.var().index(), false));
+            while let Some((v, expanded)) = stack.pop() {
+                let node = self.nodes[v as usize];
+                let fanins = match node {
+                    Node::And(a, b) => [Some(a.var()), Some(b.var())],
+                    Node::Latch(k) => [Some(self.latches[k as usize].next.var()), None],
+                    Node::Const | Node::Input(_) => [None, None],
+                };
+                if expanded {
+                    let below = fanins.iter().flatten().map(|f| depth[f.index() as usize]);
+                    let d = below.max().unwrap_or(0);
+                    depth[v as usize] = d + matches!(node, Node::Latch(_)) as u32;
+                    continue;
+                }
+                if depth[v as usize] != UNSEEN {
+                    continue;
+                }
+                depth[v as usize] = OPEN;
+                stack.push((v, true));
+                for f in fanins.into_iter().flatten() {
+                    match depth[f.index() as usize] {
+                        OPEN => return None,
+                        UNSEEN => stack.push((f.index(), false)),
+                        _ => {}
+                    }
+                }
+            }
+            deepest = deepest.max(depth[out.var().index() as usize]);
+        }
+        Some(deepest as usize)
+    }
+
     /// Returns the set of primary-input ordinals in the structural support
     /// of `lit`.
     pub fn support(&self, lit: Lit) -> Vec<u32> {
@@ -710,6 +784,78 @@ mod tests {
         }
         aig.add_output(acc);
         assert_eq!(aig.depth(), 3);
+    }
+
+    #[test]
+    fn combinational_cone_has_sequential_depth_zero() {
+        let mut aig = Aig::new();
+        assert_eq!(aig.sequential_depth(), Some(0), "no outputs");
+        let a = aig.add_input();
+        let b = aig.add_input();
+        let x = aig.xor(a, b);
+        aig.add_output(x);
+        aig.add_output(Lit::TRUE);
+        assert_eq!(aig.sequential_depth(), Some(0));
+    }
+
+    #[test]
+    fn sequential_depth_counts_the_longest_latch_path() {
+        // out = x & q2, q2 <- q1, q1 <- x, q3 <- 1: the paths into the
+        // output cross 0 and 2 latches.
+        let mut aig = Aig::new();
+        let x = aig.add_input();
+        let q1 = aig.add_latch(false);
+        let q2 = aig.add_latch(false);
+        let q3 = aig.add_latch(true);
+        aig.set_latch_next(0, x);
+        aig.set_latch_next(1, q1);
+        aig.set_latch_next(2, Lit::TRUE);
+        let y = aig.and(x, q2);
+        aig.add_output(y);
+        assert_eq!(aig.sequential_depth(), Some(2));
+        // A latch fed by a constant is one deep: the other path decides.
+        let z = aig.and(y, q3);
+        aig.add_output(z);
+        assert_eq!(aig.sequential_depth(), Some(2));
+        // Fed by q2 it is three deep.
+        aig.set_latch_next(2, q2);
+        assert_eq!(aig.sequential_depth(), Some(3));
+    }
+
+    #[test]
+    fn latch_cycles_only_matter_inside_the_outputs_cone() {
+        let mut aig = Aig::new();
+        let x = aig.add_input();
+        let q = aig.add_latch(false);
+        let hold = aig.add_latch(false);
+        aig.set_latch_next(0, x);
+        let loop_next = aig.xor(hold, x);
+        aig.set_latch_next(1, loop_next);
+        aig.add_output(q);
+        assert_eq!(aig.sequential_depth(), Some(1), "cycle outside the cone");
+        aig.add_output(hold);
+        assert_eq!(aig.sequential_depth(), None, "cycle inside the cone");
+        // A self-holding latch is a cycle of length one.
+        let mut held = Aig::new();
+        let r = held.add_latch(true);
+        held.add_output(r);
+        assert_eq!(held.sequential_depth(), None);
+    }
+
+    #[test]
+    fn long_shift_register_does_not_overflow_the_stack() {
+        let n = 100_000;
+        let mut aig = Aig::new();
+        let x = aig.add_input();
+        let stages: Vec<Lit> = (0..n).map(|_| aig.add_latch(false)).collect();
+        aig.set_latch_next(0, x);
+        for i in 1..n {
+            aig.set_latch_next(i, stages[i - 1]);
+        }
+        aig.add_output(stages[n - 1]);
+        assert_eq!(aig.sequential_depth(), Some(n));
+        aig.set_latch_next(0, stages[n - 1]);
+        assert_eq!(aig.sequential_depth(), None);
     }
 
     #[test]

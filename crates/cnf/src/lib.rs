@@ -36,7 +36,6 @@
 
 mod formula;
 pub mod gates;
-pub mod sweep;
 mod tseitin;
 
 pub use crate::formula::{Cnf, ParseDimacsError};

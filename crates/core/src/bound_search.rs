@@ -92,7 +92,24 @@ pub(crate) fn search_max_error(
     max: u128,
     window: Option<(u128, u128)>,
     batch: usize,
+    probe_batch: impl FnMut(&[u128]) -> Vec<Result<Verdict<u128>, AnalysisError>>,
+) -> Result<u128, AnalysisError> {
+    let mut probes = 0;
+    let value = search_window(label, max, window, batch, probe_batch, &mut probes);
+    record_search(label, probes, &value);
+    value
+}
+
+/// [`search_max_error`] without its metrics: `iter` counts the probes on
+/// from its current value, so that several windows can make up one query
+/// that [`record_search`] then records once.
+pub(crate) fn search_window(
+    label: &str,
+    max: u128,
+    window: Option<(u128, u128)>,
+    batch: usize,
     mut probe_batch: impl FnMut(&[u128]) -> Vec<Result<Verdict<u128>, AnalysisError>>,
+    iter: &mut u64,
 ) -> Result<u128, AnalysisError> {
     let batch = batch.max(1);
     let (seed_lo, seed_hi) = match window {
@@ -103,7 +120,6 @@ pub(crate) fn search_max_error(
         None => (0, max),
     };
     let tracing = axmc_obs::tracing_active();
-    let mut iter: u64 = 0;
 
     // Applies one round of answers to the interval `[lo, hi]`. Returns
     // `Err` when no probe in the round produced an answer (anytime
@@ -171,7 +187,7 @@ pub(crate) fn search_max_error(
         // A degenerate certified window pins the value with zero probes.
         if seed_lo >= hi {
             if tracing {
-                trace_probe(label, iter, "seed", seed_lo, "exact", seed_lo, hi);
+                trace_probe(label, *iter, "seed", seed_lo, "exact", seed_lo, hi);
             }
             return Ok(seed_lo.min(hi));
         }
@@ -179,13 +195,13 @@ pub(crate) fn search_max_error(
             // The window's lower bound is already witnessed: skip the
             // initial probe at zero and gallop straight from it.
             if tracing {
-                trace_probe(label, iter, "seed", seed_lo, "window", seed_lo, hi);
+                trace_probe(label, *iter, "seed", seed_lo, "window", seed_lo, hi);
             }
             seed_lo
         } else {
             // First probe at zero: a fully accurate candidate exits
             // immediately.
-            iter += 1;
+            *iter += 1;
             let first = probe_batch(&[0])
                 .into_iter()
                 .next()
@@ -193,20 +209,20 @@ pub(crate) fn search_max_error(
             match first {
                 Verdict::Proved => {
                     if tracing {
-                        trace_probe(label, iter, "init", 0, "within", 0, 0);
+                        trace_probe(label, *iter, "init", 0, "within", 0, 0);
                     }
                     return Ok(0);
                 }
                 Verdict::Refuted { witness } => {
                     let w = clamp_witness(0, witness, max.max(1)).min(hi);
                     if tracing {
-                        trace_probe(label, iter, "init", 0, "exceeds", w, hi);
+                        trace_probe(label, *iter, "init", 0, "exceeds", w, hi);
                     }
                     w
                 }
                 Verdict::Interrupted { best_so_far } => {
                     if tracing {
-                        trace_probe(label, iter, "init", 0, "interrupted", 0, hi);
+                        trace_probe(label, *iter, "init", 0, "interrupted", 0, hi);
                     }
                     return Err(AnalysisError::Interrupted(Partial {
                         reason: best_so_far.reason,
@@ -237,7 +253,7 @@ pub(crate) fn search_max_error(
                 break;
             }
             let answers = probe_batch(&ladder);
-            if merge_round("gallop", &ladder, answers, &mut lo, &mut hi, &mut iter)? {
+            if merge_round("gallop", &ladder, answers, &mut lo, &mut hi, iter)? {
                 break;
             }
         }
@@ -252,22 +268,28 @@ pub(crate) fn search_max_error(
                 (1..=batch as u128).map(|j| lo + step * j).collect()
             };
             let answers = probe_batch(&points);
-            merge_round("bisect", &points, answers, &mut lo, &mut hi, &mut iter)?;
+            merge_round("bisect", &points, answers, &mut lo, &mut hi, iter)?;
         }
         Ok(lo)
     };
-    let value = result();
+    result()
+}
+
+/// Records one finished query: the `core.searches` counter, its probe
+/// count in the `core.search.probes` histogram and, when tracing, one
+/// `core.search.done` event.
+pub(crate) fn record_search(label: &str, probes: u64, value: &Result<u128, AnalysisError>) {
     if axmc_obs::enabled() {
         axmc_obs::counter("core.searches").inc();
-        axmc_obs::histogram("core.search.probes").record(iter);
-        if tracing {
+        axmc_obs::histogram("core.search.probes").record(probes);
+        if axmc_obs::tracing_active() {
             axmc_obs::emit(
                 axmc_obs::Event::new("core.search.done")
                     .field("search", label)
-                    .field("probes", iter)
+                    .field("probes", probes)
                     .field(
                         "result",
-                        match &value {
+                        match value {
                             Ok(v) => format!("{}", sat_u64(*v)),
                             Err(AnalysisError::Interrupted(_)) => "interrupted".to_string(),
                             Err(AnalysisError::CertificateRejected { .. }) => {
@@ -278,7 +300,6 @@ pub(crate) fn search_max_error(
             );
         }
     }
-    value
 }
 
 /// Lifts a one-threshold probe to the batch shape [`search_max_error`]

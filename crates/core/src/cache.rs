@@ -11,7 +11,7 @@
 //! Keys are structural: [`QueryKey`] combines the ordered pair
 //! fingerprint ([`axmc_aig::Aig::pair_fingerprint`]) with the metric
 //! kind, its parameters (threshold, cycle horizon) and the knobs that
-//! change the *bytes* of a verdict — certified mode, backend, sweeping.
+//! change the *bytes* of a verdict — certified mode and backend.
 //! Certified and uncertified entries are therefore always distinct: a
 //! cached uncertified answer can never satisfy a `--certify` query, and
 //! a certified hit replays the exact report the certified cold run
@@ -64,9 +64,6 @@ pub struct QueryKey {
     /// The backend affects the effort counters (and `engine` tag) a
     /// report carries, so it is part of the identity.
     pub backend: Backend,
-    /// Miter sweeping changes the encoding and hence the conflict
-    /// counts a report carries.
-    pub sweep: bool,
 }
 
 impl QueryKey {
@@ -86,7 +83,6 @@ impl QueryKey {
             cycles: 0,
             certified: options.certify,
             backend: options.backend,
-            sweep: options.sweep,
         }
     }
 

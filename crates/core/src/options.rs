@@ -1,6 +1,6 @@
 //! The one shared bundle of analysis knobs.
 //!
-//! Budget/certify/jobs/sweep used to drift independently across
+//! Budget/certify/jobs used to drift independently across
 //! `CombAnalyzer`, `SeqAnalyzer`, `InductionOptions` and the CGP search
 //! options. [`AnalysisOptions`] consolidates them: both analyzers accept
 //! it via `with_options`.
@@ -28,8 +28,6 @@ pub struct AnalysisOptions {
     /// WCE, bit-flip and profile searches always run serially on one warm
     /// engine, so their reports do not depend on `jobs`.
     pub jobs: usize,
-    /// SAT-sweep (FRAIG) the product-machine miter before unrolling.
-    pub sweep: bool,
     /// Which analysis backend the combinational metrics use (SAT, BDD,
     /// or the racing `Auto` portfolio). See `docs/backends.md`.
     pub backend: Backend,
@@ -65,7 +63,6 @@ impl Default for AnalysisOptions {
             ctl: ResourceCtl::default(),
             certify: false,
             jobs: 0,
-            sweep: false,
             backend: Backend::default(),
             bdd_node_limit: DEFAULT_BDD_NODE_LIMIT,
             cache: None,
@@ -78,7 +75,7 @@ impl Default for AnalysisOptions {
 
 impl AnalysisOptions {
     /// Default options: unlimited resources, no certification, serial,
-    /// no sweeping, SAT backend.
+    /// SAT backend.
     pub fn new() -> Self {
         AnalysisOptions::default()
     }
@@ -124,12 +121,6 @@ impl AnalysisOptions {
     /// Sets the worker count (clamped to at least 1).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Enables or disables miter sweeping.
-    pub fn with_sweep(mut self, sweep: bool) -> Self {
-        self.sweep = sweep;
         self
     }
 
@@ -203,13 +194,11 @@ mod tests {
             .with_budget(Budget::unlimited().with_conflicts(10))
             .with_timeout(Duration::from_secs(60))
             .with_certify(true)
-            .with_jobs(4)
-            .with_sweep(true);
+            .with_jobs(4);
         assert_eq!(opts.ctl.budget().max_conflicts(), Some(10));
         assert!(opts.ctl.deadline().is_some());
         assert!(opts.certify);
         assert_eq!(opts.jobs, 4);
-        assert!(opts.sweep);
     }
 
     #[test]

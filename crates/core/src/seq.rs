@@ -27,9 +27,9 @@
 //!
 //! # Threshold probes
 //!
-//! The WCE, bit-flip and profile searches each run on **one** warm
+//! The WCE, bit-flip and profile queries each run on **one** warm
 //! engine: the product machine is unrolled into one incremental solver,
-//! and a probe "can the per-cycle word exceed `t` in any cycle `<= k`?"
+//! and a probe "can the per-cycle word exceed `t` in any cycle `<= h`?"
 //! asks the frames one at a time, first frame first, each under the
 //! single assumption `exceeds_f(t)`. A satisfiable frame ends the probe
 //! with a witnessing trace. An unsatisfiable one proves `word_f <= t`;
@@ -40,11 +40,29 @@
 //! the OR of all k+1 comparators must refute every frame in a single
 //! search and cannot use frame f's bound while working on frame f+1.
 //!
+//! The searches are **frame-major**: they settle the horizons
+//! `h = 0, 1, …, k` in order, each by a galloping search that starts from
+//! the exact value at `h - 1`, a witnessed floor. The proving probe that
+//! ends horizon `h - 1` leaves every earlier frame bounded at exactly that
+//! value, so each probe of horizon `h` skips those frames and solves
+//! frame `h` alone, with the exact bounds of all earlier frames as units.
+//! One gallop over all `k + 1` frames would instead overshoot: it proves
+//! one loose bound (twice the first witness) on every frame at once, and
+//! frame `f` never sees a tight bound on frame `f - 1`. WCE@k and
+//! bit-flip@k are the last horizon's value; the profile is the sequence.
+//!
+//! Probes and the earliest-error scan never go past the miter's
+//! **sequential depth** `D` ([`Aig::sequential_depth`], measured on the
+//! statically reduced miter the engine unrolls): when the outputs' cone
+//! has no latch cycle, every cycle from `D` on reaches the same words, so
+//! frames past `min(k, D)` are never encoded or asked. A refuting probe
+//! pads its trace to `k + 1` cycles with all-false inputs.
+//!
 //! Searches are serial, so a report (value, probes, conflicts) is the
 //! same for every `jobs` value; `jobs` still fans out the total-error
 //! and error-cycle searches, whose probes each build a fresh engine.
 
-use crate::bound_search::{each, search_max_error};
+use crate::bound_search::{each, record_search, search_max_error, search_window};
 use crate::cache::{cached, metric, CachedResult, QueryKey};
 use crate::engine::{Backend, EngineKind};
 use crate::options::AnalysisOptions;
@@ -52,7 +70,6 @@ use crate::report::{AnalysisError, ErrorProfile, ErrorReport, Partial};
 use crate::verdict::Verdict;
 use axmc_aig::{bits_to_u128, Aig, Simulator};
 use axmc_cnf::gates;
-use axmc_cnf::sweep::{fraig, SweepOptions};
 use axmc_mc::{
     prove_invariant, Bmc, BmcOptions, BmcResult, InductionOptions, ProofResult, Trace, Unroller,
 };
@@ -80,6 +97,9 @@ enum WordKind {
 struct ThresholdEngine {
     unroller: Unroller,
     kind: WordKind,
+    /// The unrolled miter's sequential depth: no probe encodes or asks a
+    /// frame past it. `None` when the outputs' cone has a latch cycle.
+    depth: Option<usize>,
     /// Per frame, the smallest `t` for which `word_f <= t` is proved and
     /// held as the derived unit `¬exceeds_f(t)`; a probe at any
     /// threshold `>= t` skips the frame. In certified mode only bounds
@@ -99,24 +119,24 @@ struct ThresholdEngine {
 
 impl ThresholdEngine {
     fn new(miter: Aig, kind: WordKind, options: &AnalysisOptions) -> Self {
-        let miter = if options.sweep {
-            fraig(&miter, &SweepOptions::default()).0
-        } else {
-            miter.compact()
-        };
+        let miter = miter.compact();
         // With the static tier on, the product machine is additionally
         // swept by the ternary fixpoint before encoding: an
         // equisatisfiable interface-preserving reduction, so every probe
         // verdict is unchanged while each BMC frame encodes fewer gates.
+        // Its frozen latches are constants, so the depth is measured on
+        // the reduced form.
         let mut unroller = if options.static_tier {
             Unroller::new_reduced(miter).0
         } else {
             Unroller::new(miter)
         };
         unroller.configure(&options.solver_config());
+        let depth = unroller.aig().sequential_depth();
         ThresholdEngine {
             unroller,
             kind,
+            depth,
             proved: Vec::new(),
             unchecked: Vec::new(),
             frame_solves: 0,
@@ -125,23 +145,38 @@ impl ThresholdEngine {
         }
     }
 
+    /// The last frame a query at horizon `k` has to ask.
+    fn last_frame(&self, k: usize) -> usize {
+        self.depth.map_or(k, |d| d.min(k))
+    }
+
     /// Can the per-cycle word exceed `threshold` in any cycle `<= k`?
     ///
-    /// The frames are asked first to last. The solver's resource control
-    /// governs the whole probe: each frame's solve gets the conflict and
-    /// propagation budget the earlier frames left, and the per-call
-    /// timeout runs from the start of the probe. In certified mode a
-    /// probe that solved at least one frame ends `Proved` only after one
-    /// DRAT check, which covers every frame's derived bound.
+    /// The frames up to `min(k, depth)` are asked first to last, and a
+    /// witnessing trace is padded to `k + 1` cycles with all-false
+    /// inputs. The solver's resource control governs the whole probe:
+    /// each frame's solve gets the conflict and propagation budget the
+    /// earlier frames left, and the per-call timeout runs from the start
+    /// of the probe. In certified mode a probe that solved at least one
+    /// frame ends `Proved` only after one DRAT check, which covers every
+    /// frame's derived bound.
     fn probe(&mut self, threshold: u128, k: usize) -> Result<Verdict<Trace>, AnalysisError> {
-        self.unroller.extend_to(k + 1);
-        if self.proved.len() <= k {
-            self.proved.resize(k + 1, None);
+        let last = self.last_frame(k);
+        if last < k && axmc_obs::enabled() {
+            axmc_obs::counter("seq.probe.frames_past_depth").add((k - last) as u64);
+        }
+        self.unroller.extend_to(last + 1);
+        if self.proved.len() <= last {
+            self.proved.resize(last + 1, None);
         }
         let base = self.unroller.solver().ctl().clone();
-        let verdict = self.probe_frames(threshold, k, &base);
+        let verdict = self.probe_frames(threshold, last, &base);
         self.set_ctl(base);
-        verdict
+        let width = self.unroller.aig().num_inputs();
+        Ok(verdict?.map(|mut trace| {
+            trace.inputs.resize(k + 1, vec![false; width]);
+            trace
+        }))
     }
 
     fn probe_frames(
@@ -242,6 +277,66 @@ impl ThresholdEngine {
 
     fn conflicts(&self) -> u64 {
         self.unroller.solver().stats().conflicts
+    }
+
+    /// The frame-major search (see the module docs): the exact maximum
+    /// of `metric` over the cycles `<= h` for every horizon `h = 0..=k`,
+    /// and the probes the query issued; it counts as one search in the
+    /// metrics. The horizons up to `min(k, depth)` are searched in order;
+    /// later ones repeat the value at the depth.
+    ///
+    /// `window` is a `(floor, ceiling)` pair that holds in every cycle:
+    /// the floor witnessed, the ceiling sound, both clamped to `max`.
+    /// Horizon `h` searches from the larger of the floor and the value
+    /// at `h - 1`.
+    ///
+    /// # Errors
+    ///
+    /// An interrupted horizon reports its witnessed floor, and a ceiling
+    /// that holds for every cycle `<= k`: its own bracket only at the
+    /// last horizon, `window`'s ceiling before it.
+    fn search(
+        &mut self,
+        label: &str,
+        k: usize,
+        max: u128,
+        window: (u128, u128),
+        metric: impl Fn(&Trace) -> u128,
+    ) -> Result<(Vec<u128>, u64), AnalysisError> {
+        let last = self.last_frame(k);
+        let ceiling = window.1.min(max);
+        let mut probes = 0;
+        let mut floor = window.0.min(ceiling);
+        let mut result = Ok(floor);
+        let mut values = Vec::with_capacity(k + 1);
+        for h in 0..=last {
+            // The last horizon's probes ask about every cycle `<= k`; the
+            // probe itself stops at the depth.
+            let horizon = if h == last { k } else { h };
+            result = search_window(
+                label,
+                max,
+                Some((floor, ceiling)),
+                1,
+                each(|t| Ok(self.probe(t, horizon)?.map(|trace| metric(&trace)))),
+                &mut probes,
+            );
+            match &mut result {
+                Ok(value) => {
+                    floor = *value;
+                    values.push(floor);
+                }
+                Err(AnalysisError::Interrupted(partial)) if h < last => {
+                    partial.known_high = ceiling;
+                    break;
+                }
+                Err(_) => break,
+            }
+        }
+        record_search(label, probes, &result);
+        result?;
+        values.resize(k + 1, floor);
+        Ok((values, probes))
     }
 }
 
@@ -365,12 +460,17 @@ impl<'a> SeqAnalyzer<'a> {
     /// in certified mode.
     pub fn earliest_error(&self, max_cycles: usize) -> Result<EarliestError, AnalysisError> {
         let miter = sequential_strict_miter(self.golden, self.approx);
+        // Cycles past the sequential depth reach no new output values, so
+        // an error that shows up at all shows up by then.
+        let cycles = miter
+            .sequential_depth()
+            .map_or(max_cycles, |depth| max_cycles.min(depth + 1));
         let mut bmc = Bmc::with_options(
             &miter,
             &BmcOptions::new().with_solver(self.options.solver_config()),
         );
         let mut sat_calls = 0;
-        for k in 0..max_cycles {
+        for k in 0..cycles {
             sat_calls += 1;
             match bmc.check_at(k)? {
                 BmcResult::Cex(trace) => {
@@ -423,7 +523,8 @@ impl<'a> SeqAnalyzer<'a> {
     }
 
     /// One threshold probe: can the error exceed `threshold` in any cycle
-    /// `<= k`? `Refuted` carries the witnessing trace.
+    /// `<= k`? `Refuted` carries the witnessing trace, `k + 1` cycles
+    /// long.
     ///
     /// # Errors
     ///
@@ -485,9 +586,9 @@ impl<'a> SeqAnalyzer<'a> {
         )
     }
 
-    /// The precise worst-case error over all cycles `<= k`, via
-    /// counterexample-guided galloping search over per-frame BMC probes
-    /// on one warm engine.
+    /// The precise worst-case error over all cycles `<= k`, via the
+    /// frame-major search over per-frame BMC probes on one warm engine
+    /// (see the module docs).
     ///
     /// # Errors
     ///
@@ -536,23 +637,10 @@ impl<'a> SeqAnalyzer<'a> {
                     }
                 }
                 let mut engine = self.diff_engine();
-                let mut sat_calls = 0;
-                let value = search_max_error(
-                    "seq.wce",
-                    max,
-                    None,
-                    1,
-                    each(|t| {
-                        sat_calls += 1;
-                        Ok(engine.probe(t, k)?.map(|trace| {
-                            let witnessed = self.trace_error(&trace);
-                            debug_assert!(witnessed > t);
-                            witnessed
-                        }))
-                    }),
-                )?;
+                let (values, sat_calls) =
+                    engine.search("seq.wce", k, max, (0, max), |trace| self.trace_error(trace))?;
                 Ok(ErrorReport {
-                    value,
+                    value: values[k],
                     sat_calls,
                     conflicts: engine.conflicts(),
                     engine: EngineKind::Sat,
@@ -588,7 +676,7 @@ impl<'a> SeqAnalyzer<'a> {
             || {
                 let max = self.golden.num_outputs() as u128;
                 let miter = sequential_popcount_word_miter(self.golden, self.approx);
-                let mut window = None;
+                let mut window = (0, max);
                 if self.static_tier_active() {
                     // The popcount word is unsigned, so the full ternary
                     // interval seeds the search window; a pinned interval
@@ -611,7 +699,7 @@ impl<'a> SeqAnalyzer<'a> {
                                 completed_bound: None,
                             }));
                         }
-                        window = Some((lo, hi));
+                        window = (lo, hi);
                     } else if self.options.backend == Backend::Static {
                         return Err(AnalysisError::Interrupted(Partial {
                             reason: None,
@@ -622,21 +710,12 @@ impl<'a> SeqAnalyzer<'a> {
                     }
                 }
                 let mut engine = ThresholdEngine::new(miter, WordKind::Unsigned, &self.options);
-                let mut sat_calls = 0;
-                let value = search_max_error(
-                    "seq.bit_flip",
-                    max,
-                    window,
-                    1,
-                    each(|t| {
-                        sat_calls += 1;
-                        Ok(engine
-                            .probe(t, k)?
-                            .map(|trace| self.trace_bit_flips(&trace)))
-                    }),
-                )?;
+                let (values, sat_calls) =
+                    engine.search("seq.bit_flip", k, max, window, |trace| {
+                        self.trace_bit_flips(trace)
+                    })?;
                 Ok(ErrorReport {
-                    value: value as u32,
+                    value: values[k] as u32,
                     sat_calls,
                     conflicts: engine.conflicts(),
                     engine: EngineKind::Sat,
@@ -645,10 +724,10 @@ impl<'a> SeqAnalyzer<'a> {
         )
     }
 
-    /// The per-horizon worst-case error profile `WCE@0 .. WCE@k`, computed
-    /// incrementally on one engine (each horizon's search starts from the
-    /// previous value as lower bound, and the earlier frames' proven
-    /// bounds answer their part of every later probe).
+    /// The per-horizon worst-case error profile `WCE@0 .. WCE@k`: the
+    /// frame-major search behind [`SeqAnalyzer::worst_case_error_at`]
+    /// settles every horizon on the way, so the profile costs no more
+    /// than `WCE@k`. Horizons past the sequential depth repeat its value.
     ///
     /// # Errors
     ///
@@ -661,32 +740,10 @@ impl<'a> SeqAnalyzer<'a> {
         } else {
             (1u128 << m) - 1
         };
-        let mut profile = Vec::with_capacity(k + 1);
-        let mut sat_calls = 0;
-        let mut prev: u128 = 0;
         let mut engine = self.diff_engine();
-        for horizon in 0..=k {
-            // WCE@horizon >= WCE@(horizon-1): probes below `prev` are
-            // answered from the invariant without touching the solver.
-            let floor = prev;
-            let value = search_max_error(
-                "seq.profile",
-                max,
-                None,
-                1,
-                each(|t| {
-                    if t < floor {
-                        return Ok(Verdict::Refuted { witness: floor });
-                    }
-                    sat_calls += 1;
-                    Ok(engine
-                        .probe(t, horizon)?
-                        .map(|trace| self.trace_error(&trace)))
-                }),
-            )?;
-            prev = value;
-            profile.push(value);
-        }
+        let (profile, sat_calls) = engine.search("seq.profile", k, max, (0, max), |trace| {
+            self.trace_error(trace)
+        })?;
         Ok(ErrorProfile { profile, sat_calls })
     }
 
@@ -954,12 +1011,13 @@ impl<'a> SeqAnalyzer<'a> {
 /// pair, opened with [`SeqAnalyzer::probe_session`].
 ///
 /// The product-machine difference miter is encoded into an incremental
-/// solver exactly once. Every probe extends the unrolling as needed and
-/// asks the frames one at a time, first frame first (see the module
-/// docs), so learnt clauses, frames and the per-frame bounds earlier
-/// probes proved all carry over to later queries: a frame already proved
-/// within `t' <= t` costs no solve at all. The proven bounds live inside
-/// the session, so they follow its pool key.
+/// solver exactly once. Every probe extends the unrolling as needed, up
+/// to the miter's sequential depth, and asks the frames one at a time,
+/// first frame first (see the module docs), so learnt clauses, frames
+/// and the per-frame bounds earlier probes proved all carry over to
+/// later queries: a frame already proved within `t' <= t` costs no solve
+/// at all. The proven bounds live inside the session, so they follow its
+/// pool key.
 ///
 /// Two properties matter to pooling layers (such as `axmc serve`):
 ///
@@ -1269,35 +1327,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_does_not_change_answers() {
-        let width = 4;
-        let golden = accumulator(&generators::ripple_carry_adder(width), width);
-        let apx = accumulator(&approx::lower_or_adder(width, 2), width);
-        let plain = SeqAnalyzer::new(&golden, &apx);
-        let swept =
-            SeqAnalyzer::new(&golden, &apx).with_options(AnalysisOptions::new().with_sweep(true));
-        for k in [1usize, 3] {
-            assert_eq!(
-                plain.worst_case_error_at(k).unwrap().value,
-                swept.worst_case_error_at(k).unwrap().value,
-                "k = {k}"
-            );
-            assert_eq!(
-                plain.bit_flip_error_at(k).unwrap().value,
-                swept.bit_flip_error_at(k).unwrap().value,
-                "bitflip k = {k}"
-            );
-        }
-        // Witness traces from the swept engine replay on the originals.
-        let trace = swept
-            .check_error_exceeds(0, 3)
-            .unwrap()
-            .witness()
-            .expect("diverges");
-        assert!(swept.trace_error(&trace) > 0);
-    }
-
-    #[test]
     fn total_error_bounds_worst_case() {
         // In a feed-forward pipeline each cycle contributes independently:
         // the total error over k cycles can reach roughly k * WCE, while
@@ -1410,6 +1439,53 @@ mod tests {
                 .map(|r| r.value)
         };
         assert_eq!(run(), run(), "same jobs value must reproduce exactly");
+    }
+
+    #[test]
+    fn interrupted_searches_bracket_the_value_at_k() {
+        // A wide accumulator's error grows every cycle without wrapping,
+        // so a bracket proved at an early horizon can lie below WCE@k: an
+        // interrupted search must not report one as its ceiling. Starved
+        // at these budgets, some searches stop inside an early horizon
+        // after a proving probe (a mutation check with the horizon's own
+        // bracket as ceiling fails on both components).
+        use axmc_seq::wide_accumulator;
+        let k = 6;
+        let golden = wide_accumulator(&generators::ripple_carry_adder(8), 4, 8);
+        for component in [approx::lower_or_adder(8, 4), approx::truncated_adder(8, 3)] {
+            let apx = wide_accumulator(&component, 4, 8);
+            let exact = SeqAnalyzer::new(&golden, &apx);
+            let wce = exact.worst_case_error_at(k).unwrap().value;
+            let flips = u128::from(exact.bit_flip_error_at(k).unwrap().value);
+            for conflicts in [1, 4, 8, 10, 13, 16, 32, 64, 85, 91, 97, 128, 256] {
+                let starved = SeqAnalyzer::new(&golden, &apx).with_options(
+                    AnalysisOptions::new()
+                        .with_budget(Budget::unlimited().with_conflicts(conflicts)),
+                );
+                let check = |metric: &str, exact: u128, result: Result<u128, AnalysisError>| {
+                    let (lo, hi) = match result {
+                        Ok(value) => (value, value),
+                        Err(AnalysisError::Interrupted(p)) => (p.known_low, p.known_high),
+                        Err(e) => panic!("budget {conflicts}: {e}"),
+                    };
+                    assert!(
+                        lo <= exact && exact <= hi,
+                        "budget {conflicts}: {metric}@{k} = {exact} outside [{lo}, {hi}]"
+                    );
+                };
+                check("wce", wce, starved.worst_case_error_at(k).map(|r| r.value));
+                check(
+                    "bit-flip",
+                    flips,
+                    starved.bit_flip_error_at(k).map(|r| r.value.into()),
+                );
+                check(
+                    "profile",
+                    wce,
+                    starved.error_profile(k).map(|p| p.profile[k]),
+                );
+            }
+        }
     }
 
     #[test]
@@ -1726,6 +1802,27 @@ mod tests {
     }
 
     #[test]
+    fn sequential_depth_marks_exactly_the_feed_forward_pairs() {
+        // The depth the probes use (the reduced difference miter) and the
+        // one the earliest-error scan uses (the strict miter).
+        for pair in axmc_seq::suite::standard_suite(8) {
+            let name = &pair.name;
+            let depth = SeqAnalyzer::new(&pair.golden, &pair.approx)
+                .diff_engine()
+                .depth;
+            assert_eq!(depth.is_some(), !pair.feedback, "{name}");
+            let expected = match pair.design.as_str() {
+                d if d.starts_with("fir4") => Some(3),
+                d if d.starts_with("alu") || d.starts_with("regmul") => Some(2),
+                _ => None,
+            };
+            assert_eq!(depth, expected, "{name}");
+            let strict = sequential_strict_miter(&pair.golden, &pair.approx);
+            assert_eq!(strict.sequential_depth(), expected, "{name} strict miter");
+        }
+    }
+
+    #[test]
     fn per_frame_probes_match_the_or_probe_reference() {
         let mut rng = 0x2545_F491_4F6C_DD1Du64;
         let mut next = move || {
@@ -1734,7 +1831,7 @@ mod tests {
             rng ^= rng << 17;
             rng
         };
-        let mut reused = 0;
+        let (mut reused, mut past_depth) = (0, 0);
         for pair in small_suite() {
             let (golden, apx) = (&pair.golden, &pair.approx);
             let analyzer = SeqAnalyzer::new(golden, apx);
@@ -1746,8 +1843,14 @@ mod tests {
                 &sequential_popcount_word_miter(golden, apx),
                 WordKind::Unsigned,
             );
+            // Feed-forward pairs run to twice their depth and one more,
+            // so the capped probes answer horizons well past it.
+            let horizon = analyzer
+                .diff_engine()
+                .depth
+                .map_or(5, |d| (2 * d + 1).max(5));
             let mut wce_at = Vec::new();
-            for k in 0..=5 {
+            for k in 0..=horizon {
                 let wce = wce_ref.max(k, |t| analyzer.trace_error(t));
                 let flips = flips_ref.max(k, |t| analyzer.trace_bit_flips(t));
                 let name = &pair.name;
@@ -1766,7 +1869,7 @@ mod tests {
             // One session answers every (t, k) in a shuffled order, so
             // bounds proven at one threshold and horizon are reused at
             // the others.
-            let mut queries: Vec<(u128, usize)> = (0..=5)
+            let mut queries: Vec<(u128, usize)> = (0..=horizon)
                 .flat_map(|k| {
                     let wce = wce_at[k];
                     [wce.checked_sub(1), Some(0), Some(wce), Some(wce + 1)]
@@ -1801,8 +1904,15 @@ mod tests {
                 }
             }
             reused += probe.engine.frames_reused;
+            if let Some(depth) = probe.engine.depth {
+                past_depth += horizon - depth;
+            }
         }
         assert!(reused > 0, "the shuffled queries must exercise bound reuse");
+        assert!(
+            past_depth > 0,
+            "the feed-forward pairs must exercise the depth cap"
+        );
     }
 
     #[test]

@@ -660,6 +660,17 @@ mod tests {
     }
 
     #[test]
+    fn sequential_depth_follows_the_design_class() {
+        let adder = generators::ripple_carry_adder(4);
+        for taps in 2..=5 {
+            let fir = fir_moving_sum(&adder, 4, taps);
+            assert_eq!(fir.sequential_depth(), Some(taps - 1), "{taps} taps");
+        }
+        assert_eq!(registered_alu(&adder, 4).sequential_depth(), Some(2));
+        assert_eq!(accumulator(&adder, 4).sequential_depth(), None);
+    }
+
+    #[test]
     #[should_panic]
     fn interface_mismatch_panics() {
         let _ = accumulator(&generators::ripple_carry_adder(4), 5);

@@ -2,7 +2,7 @@
 //!
 //! [`ResultCache`] is the service-side implementation of the analyzers'
 //! [`QueryCache`] hook: a thread-safe map from [`QueryKey`] (ordered AIG
-//! pair fingerprint + metric kind + parameters + certified/backend/sweep
+//! pair fingerprint + metric kind + parameters + certified/backend
 //! knobs) to completed verdicts. Every lookup increments the
 //! `serve.cache.hit` / `serve.cache.miss` obs counters *and* the cache's
 //! own atomics, so hit rates are visible both in `--metrics` output and

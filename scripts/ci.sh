@@ -339,6 +339,24 @@ certify_smoke() {
 }
 certify_smoke
 
+# Sequential-values gate: the T1 harness at quick scale must reproduce
+# the committed earliest, WCE@k, BF@k and G(err<=WCE)? columns of all 24
+# suite rows byte for byte (the time column is left out). This is the
+# one CI step that checks sequential values, mac4/* included.
+t1_values_gate() {
+    echo "== T1 sequential values gate =="
+    local dir
+    dir=$(mktemp -d)
+    AXMC_METRICS=off cargo run --release --offline -p axmc-bench \
+        --bin table1_sequential_errors >"$dir/t1.txt"
+    awk '$1 ~ /\// { printf "%-24s %9s %9s %8s %14s\n", $1, $5, $6, $7, $8 }' \
+        "$dir/t1.txt" >"$dir/values.txt"
+    diff bench_results/t1_values.quick.txt "$dir/values.txt" \
+        || { echo "T1 sequential values changed"; exit 1; }
+    rm -rf "$dir"
+}
+t1_values_gate
+
 # Throughput gate for the static tier's costliest consumer: the T5
 # harness (CGP evaluations/second — every candidate now passes the
 # static pre-screen before a solver sees it) must not regress against

@@ -5,7 +5,9 @@
 //! randomly generated sequential property circuits.
 
 use axmc::aig::{Aig, Lit, Word};
+use axmc::core::SeqAnalyzer;
 use axmc::mc::{explicit_reach, prove_invariant, Bmc, BmcResult, InductionOptions, ProofResult};
+use axmc::miter::{sequential_diff_miter, sequential_strict_miter};
 use proptest::prelude::*;
 
 /// A random small sequential single-output circuit: a few latches with
@@ -50,6 +52,98 @@ fn random_machine() -> impl Strategy<Value = Aig> {
             aig.add_output(bad);
             aig
         })
+}
+
+/// A random acyclic golden/approximate pair: a chain of random gates
+/// (each also reading a random earlier signal) runs through the latches
+/// in order, so latch `i`'s next state reads only the inputs and latches
+/// `< i`, and the outputs read the chain's end. The approximate copy
+/// changes the operation of one gate.
+fn random_acyclic_pair() -> impl Strategy<Value = (Aig, Aig)> {
+    (
+        1usize..=3, // inputs
+        1usize..=4, // latches
+        2usize..=3, // outputs
+        proptest::collection::vec((any::<u32>(), any::<bool>(), 0u8..4), 8..24),
+        any::<u32>(), // the gate the approximation changes
+    )
+        .prop_map(|(n_in, n_latch, n_out, gates, flip)| {
+            let changed = flip as usize % gates.len();
+            let build = |approximate: bool| {
+                let mut aig = Aig::new();
+                let inputs = aig.add_inputs(n_in);
+                let latches: Vec<Lit> = (0..n_latch).map(|_| aig.add_latch(false)).collect();
+                let mut pool = inputs.clone();
+                let mut chain = inputs[0];
+                let mut g = 0;
+                // Segment `s` of the gates feeds latch `s`; the last one
+                // feeds the outputs.
+                for (s, latch) in latches.iter().map(Some).chain([None]).enumerate() {
+                    let end = (s + 1) * gates.len() / (n_latch + 1);
+                    while g < end {
+                        let (pick, neg, op) = gates[g];
+                        let other = pool[pick as usize % pool.len()].negate_if(neg);
+                        // Half the gates are XORs, which pass a
+                        // difference on; the approximation turns an AND
+                        // into an OR and anything else into an AND.
+                        let op = if approximate && g == changed {
+                            (op == 0) as u8
+                        } else {
+                            op
+                        };
+                        chain = match op {
+                            0 => aig.and(chain, other),
+                            1 => aig.or(chain, other),
+                            _ => aig.xor(chain, other),
+                        };
+                        pool.push(chain);
+                        g += 1;
+                    }
+                    if let Some(&latch) = latch {
+                        aig.set_latch_next(s, chain);
+                        pool.push(latch);
+                        chain = latch;
+                    }
+                }
+                aig.add_output(chain);
+                for o in 1..n_out {
+                    aig.add_output(pool[pool.len() - 1 - o]);
+                }
+                aig
+            };
+            (build(false), build(true))
+        })
+}
+
+/// WCE@k by explicit-state search: the smallest `t` whose threshold
+/// miter reaches no violation within `k` cycles.
+fn explicit_wce(golden: &Aig, approx: &Aig, k: usize) -> u128 {
+    (0u128..)
+        .find(|&t| {
+            let miter = sequential_diff_miter(golden, approx, t);
+            explicit_reach(&miter, k).bad_depth.is_none()
+        })
+        .expect("the difference word is finite")
+}
+
+proptest! {
+    // About a third of the pairs never differ; the rest cover depths 0-4.
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn capped_searches_agree_with_explicit_reachability(pair in random_acyclic_pair()) {
+        let (golden, approx) = pair;
+        let strict = sequential_strict_miter(&golden, &approx);
+        let depth = strict.sequential_depth().expect("acyclic by construction");
+        let analyzer = SeqAnalyzer::new(&golden, &approx);
+        let first = explicit_reach(&strict, 2 * depth + 2).bad_depth;
+        for k in 0..=2 * depth + 2 {
+            let earliest = analyzer.earliest_error(k + 1).expect("unbudgeted").cycle;
+            prop_assert_eq!(earliest, first.filter(|&c| c <= k), "earliest within {}", k);
+            let wce = analyzer.worst_case_error_at(k).expect("unbudgeted").value;
+            prop_assert_eq!(wce, explicit_wce(&golden, &approx, k), "WCE@{}", k);
+        }
+    }
 }
 
 proptest! {
