@@ -588,6 +588,53 @@ impl Aig {
         Some(deepest as usize)
     }
 
+    /// The time-frame expansion over `frames` cycles: a combinational AIG
+    /// whose inputs are the inputs of every cycle, frame-major (input `i`
+    /// of frame `f` is input `f * n + i` for `n = num_inputs()`), and
+    /// whose outputs are every cycle's outputs, frame-major. Latches start
+    /// at their reset values and then take their next-state images, so
+    /// output `f * m + j` is output `j` in cycle `f` of a run from reset.
+    /// Strashing shares logic across frames, and the result is compacted:
+    /// the last frame's next-state logic feeds nothing.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use axmc_aig::Aig;
+    ///
+    /// // A one-stage delay: the output is the previous cycle's input.
+    /// let mut aig = Aig::new();
+    /// let x = aig.add_input();
+    /// let q = aig.add_latch(true);
+    /// aig.set_latch_next(0, x);
+    /// aig.add_output(q);
+    /// let unrolled = aig.expand_frames(2);
+    /// assert_eq!(unrolled.num_inputs(), 2);
+    /// assert_eq!(unrolled.num_latches(), 0);
+    /// // Cycle 0 shows the reset value, cycle 1 the input of cycle 0.
+    /// assert_eq!(unrolled.eval_comb(&[false, true]), vec![true, false]);
+    /// ```
+    pub fn expand_frames(&self, frames: usize) -> Aig {
+        let mut out = Aig::new();
+        let mut state: Vec<Lit> = self
+            .latches
+            .iter()
+            .map(|l| if l.init { Lit::TRUE } else { Lit::FALSE })
+            .collect();
+        let mut roots = self.outputs.clone();
+        roots.extend(self.latches.iter().map(|l| l.next));
+        let mut outputs = Vec::with_capacity(frames * self.outputs.len());
+        for _ in 0..frames {
+            let inputs = out.add_inputs(self.inputs.len());
+            let images = out.import_cone(self, &roots, &inputs, &state);
+            let (frame_outputs, next) = images.split_at(self.outputs.len());
+            outputs.extend_from_slice(frame_outputs);
+            state = next.to_vec();
+        }
+        out.set_outputs(outputs);
+        out.compact()
+    }
+
     /// Returns the set of primary-input ordinals in the structural support
     /// of `lit`.
     pub fn support(&self, lit: Lit) -> Vec<u32> {
@@ -755,6 +802,49 @@ mod tests {
         assert_eq!(aig.support(x), vec![0, 1]);
         assert_eq!(aig.support(a), vec![0]);
         assert_eq!(aig.support(Lit::TRUE), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn latch_free_aig_expands_to_itself() {
+        // A 3-bit adder with one dead gate: one frame is its compacted self.
+        use crate::Word;
+        let mut aig = Aig::new();
+        let a = Word::new_inputs(&mut aig, 3);
+        let b = Word::new_inputs(&mut aig, 3);
+        let (sum, carry) = a.add(&mut aig, &b);
+        let _dead = aig.and(a.bit(0), !b.bit(2));
+        for &s in sum.bits() {
+            aig.add_output(s);
+        }
+        aig.add_output(carry);
+        let compact = aig.compact();
+        let expanded = aig.expand_frames(1);
+        assert_eq!(expanded.num_nodes(), compact.num_nodes());
+        assert_eq!(expanded.fingerprint(), compact.fingerprint());
+    }
+
+    #[test]
+    fn expansion_honours_reset_values_of_one() {
+        // q0 starts at 1 and toggles; q1 starts at 1 and loads the input.
+        let mut aig = Aig::new();
+        let x = aig.add_input();
+        let q0 = aig.add_latch(true);
+        let q1 = aig.add_latch(true);
+        aig.set_latch_next(0, !q0);
+        aig.set_latch_next(1, x);
+        let both = aig.and(q0, q1);
+        aig.add_output(q0);
+        aig.add_output(both);
+        let unrolled = aig.expand_frames(3);
+        assert_eq!((unrolled.num_inputs(), unrolled.num_outputs()), (3, 6));
+        assert_eq!(unrolled.num_latches(), 0);
+        for code in 0..8u32 {
+            let inputs: Vec<bool> = (0..3).map(|f| code >> f & 1 == 1).collect();
+            let out = unrolled.eval_comb(&inputs);
+            // Cycle 0: q0 = q1 = 1; cycle 1: q0 = 0; cycle 2: q0 = 1,
+            // q1 = the input of cycle 1.
+            assert_eq!(out, vec![true, true, false, false, true, inputs[1]]);
+        }
     }
 
     #[test]

@@ -15,16 +15,17 @@
 //!   total error `Σ 2^i · #bit_i`, and the error-input count `#(OR of
 //!   the bits)`, because `|G − C| ≠ 0` exactly when `G ≠ C`.
 //! * [`exact_word_max`] maximizes the word a miter outputs — the worst
-//!   case of `|G − C|` or of the bit-flip popcount.
+//!   case of `|G − C|` or of the bit-flip popcount — once per time frame
+//!   of a frame-major miter (one frame for a combinational pair).
 
 use crate::manager::{interleaved_order, BuildBddError, Manager, NodeId};
 use axmc_aig::{Aig, Word};
 use axmc_sat::ResourceCtl;
 
-/// The variable order of both entry points: interleaves the two operand
-/// halves when the input count is even (the standard layout of the
-/// arithmetic generators, under which adder BDDs stay linear); falls back
-/// to the natural order for odd input counts.
+/// The variable order of a combinational pair: interleaves the two
+/// operand halves when the input count is even (the standard layout of
+/// the arithmetic generators, under which adder BDDs stay linear); falls
+/// back to the natural order for odd input counts.
 fn two_operand_order(num_inputs: usize) -> Vec<usize> {
     if num_inputs.is_multiple_of(2) {
         interleaved_order(num_inputs / 2)
@@ -33,11 +34,27 @@ fn two_operand_order(num_inputs: usize) -> Vec<usize> {
     }
 }
 
-/// A manager over `num_inputs` variables in [`two_operand_order`] under
-/// the caller's node budget and resource control.
-fn metric_manager(num_inputs: usize, node_limit: usize, ctl: &ResourceCtl) -> Manager {
-    Manager::new(num_inputs)
-        .with_order(&two_operand_order(num_inputs))
+/// The variable order of a frame-major miter over `frames` copies of
+/// `num_inputs` inputs: the copies of each input sit next to each other,
+/// input `i` of frame `f` at level `pos(i) * frames + f`, where `pos` is
+/// [`two_operand_order`] when `interleave` is set and the identity
+/// otherwise. One frame with `interleave` is [`two_operand_order`].
+fn frame_order(num_inputs: usize, frames: usize, interleave: bool) -> Vec<usize> {
+    let pos = if interleave {
+        two_operand_order(num_inputs)
+    } else {
+        (0..num_inputs).collect()
+    };
+    (0..frames)
+        .flat_map(|f| pos.iter().map(move |&p| p * frames + f))
+        .collect()
+}
+
+/// A manager in `order` under the caller's node budget and resource
+/// control.
+fn metric_manager(order: &[usize], node_limit: usize, ctl: &ResourceCtl) -> Manager {
+    Manager::new(order.len())
+        .with_order(order)
         .with_node_limit(node_limit)
         .with_ctl(ctl.clone())
 }
@@ -127,7 +144,7 @@ pub fn exact_average_with(
     }
     let diff_aig = diff_aig.compact();
 
-    let mut m = metric_manager(golden.num_inputs(), node_limit, ctl);
+    let mut m = metric_manager(&two_operand_order(golden.num_inputs()), node_limit, ctl);
     let run = |m: &mut Manager| -> Result<(u128, u128), BuildBddError> {
         let mut roots = m.import_aig(&diff_aig)?;
         let mut any = NodeId::FALSE;
@@ -163,12 +180,23 @@ pub fn exact_average_with(
 }
 
 /// Computes the **exact** maximum of the unsigned word (LSB first) that
-/// the combinational `miter` outputs, under a [`ResourceCtl`]: imports
-/// the miter and walks it with [`Manager::max_word`]. Applied to the
-/// `|G − C|` word this is the worst-case error; applied to the XOR
-/// popcount word, the bit-flip error.
+/// the combinational `miter` outputs in each of its `frames` time frames,
+/// under a [`ResourceCtl`]: imports the miter once and walks each frame's
+/// slice of the outputs with [`Manager::max_word`], so the frames share
+/// one manager and its computed cache. Applied to the `|G − C|` word this
+/// is the worst-case error; applied to the XOR popcount word, the
+/// bit-flip error.
 ///
-/// Returns the maximum and the peak BDD node count.
+/// The miter is frame-major, as `Aig::expand_frames` builds it: input `i`
+/// of frame `f` is input `f * n + i`, and frame `f`'s word is the `f`-th
+/// equal slice of the outputs. The frame copies of each input are
+/// adjacent in the variable order (input `i` of frame `f` at level
+/// `pos(i) * frames + f`), and `interleave` puts the two operand halves of
+/// a frame's inputs side by side (`pos` alternates `a0 b0 a1 b1 …`;
+/// otherwise it is the identity). A combinational pair is one frame,
+/// interleaved.
+///
+/// Returns the per-frame maxima and the peak BDD node count.
 ///
 /// # Errors
 ///
@@ -178,7 +206,8 @@ pub fn exact_average_with(
 ///
 /// # Panics
 ///
-/// Panics if the miter is sequential.
+/// Panics if the miter is sequential, `frames` is 0, or the inputs or
+/// outputs do not split into `frames` equal slices.
 ///
 /// # Examples
 ///
@@ -191,19 +220,33 @@ pub fn exact_average_with(
 /// let golden = generators::ripple_carry_adder(8).to_aig();
 /// let cheap = approx::truncated_adder(8, 3).to_aig();
 /// let miter = abs_diff_word_miter(&golden, &cheap);
-/// let (wce, _nodes) = exact_word_max(&miter, 1_000_000, &ResourceCtl::unlimited())?;
-/// assert_eq!(wce, (1 << 4) - 2); // 2^(cut+1) - 2
+/// let (wce, _nodes) = exact_word_max(&miter, 1, true, 1_000_000, &ResourceCtl::unlimited())?;
+/// assert_eq!(wce, [(1 << 4) - 2]); // 2^(cut+1) - 2
 /// # Ok::<(), axmc_bdd::BuildBddError>(())
 /// ```
 pub fn exact_word_max(
     miter: &Aig,
+    frames: usize,
+    interleave: bool,
     node_limit: usize,
     ctl: &ResourceCtl,
-) -> Result<(u128, usize), BuildBddError> {
-    let mut m = metric_manager(miter.num_inputs(), node_limit, ctl);
-    let value = m.import_aig(miter).and_then(|bits| m.max_word(&bits));
+) -> Result<(Vec<u128>, usize), BuildBddError> {
+    assert!(frames > 0, "at least one frame");
+    let (inputs, width) = (miter.num_inputs(), miter.num_outputs());
+    assert!(
+        inputs.is_multiple_of(frames) && width.is_multiple_of(frames),
+        "the miter does not split into {frames} frames"
+    );
+    let order = frame_order(inputs / frames, frames, interleave);
+    let mut m = metric_manager(&order, node_limit, ctl);
+    let slice = width / frames;
+    let maxima = m.import_aig(miter).and_then(|bits| {
+        (0..frames)
+            .map(|f| m.max_word(&bits[f * slice..(f + 1) * slice]))
+            .collect::<Result<Vec<_>, _>>()
+    });
     m.flush_obs();
-    Ok((value?, m.num_nodes()))
+    Ok((maxima?, m.num_nodes()))
 }
 
 #[cfg(test)]
@@ -334,17 +377,64 @@ mod tests {
             });
             let miter = abs_diff_word_miter(&golden, &cand);
             let (value, nodes) =
-                exact_word_max(&miter, 1_000_000, &ResourceCtl::unlimited()).unwrap();
-            assert_eq!(value, wce);
+                exact_word_max(&miter, 1, true, 1_000_000, &ResourceCtl::unlimited()).unwrap();
+            assert_eq!(value, [wce]);
             assert!(nodes > 2 * width);
         }
         let mult = generators::array_multiplier(8).to_aig();
         let cand = approx::truncated_multiplier(8, 4).to_aig();
         let miter = abs_diff_word_miter(&mult, &cand);
         assert!(matches!(
-            exact_word_max(&miter, 50_000, &ResourceCtl::unlimited()),
+            exact_word_max(&miter, 1, true, 50_000, &ResourceCtl::unlimited()),
             Err(BuildBddError::SizeLimit { limit: 50_000 })
         ));
+    }
+
+    #[test]
+    fn frame_orders_keep_the_copies_of_an_input_together() {
+        // Two operands of two bits over three frames.
+        assert_eq!(frame_order(4, 1, true), two_operand_order(4));
+        assert_eq!(
+            frame_order(4, 3, false),
+            [0, 3, 6, 9, 1, 4, 7, 10, 2, 5, 8, 11]
+        );
+        // a0 b0 a1 b1 within a frame: a1 at position 2, b0 at 1.
+        assert_eq!(
+            frame_order(4, 3, true),
+            [0, 6, 3, 9, 1, 7, 4, 10, 2, 8, 5, 11]
+        );
+    }
+
+    #[test]
+    fn each_frame_gets_its_own_maximum() {
+        // Frame-major miter over three frames of the same 4-bit input
+        // pair; frame f's word is |G − C| of a different approximation.
+        let width = 4;
+        let golden = generators::ripple_carry_adder(width).to_aig();
+        let cands = [
+            approx::truncated_adder(width, 1).to_aig(),
+            approx::lower_or_adder(width, 2).to_aig(),
+            approx::truncated_adder(width, 3).to_aig(),
+        ];
+        let mut miter = Aig::new();
+        let mut outputs = Vec::new();
+        let mut expected = Vec::new();
+        for cand in &cands {
+            let single = abs_diff_word_miter(&golden, cand);
+            let inputs = miter.add_inputs(single.num_inputs());
+            outputs.extend(miter.import_cone(&single, single.outputs(), &inputs, &[]));
+            let (max, _) =
+                exact_word_max(&single, 1, true, 1_000_000, &ResourceCtl::unlimited()).unwrap();
+            expected.extend(max);
+        }
+        miter.set_outputs(outputs);
+        for interleave in [false, true] {
+            let (maxima, _) =
+                exact_word_max(&miter, 3, interleave, 1_000_000, &ResourceCtl::unlimited())
+                    .unwrap();
+            assert_eq!(maxima, expected, "interleave {interleave}");
+        }
+        assert!(expected.windows(2).any(|w| w[0] != w[1]));
     }
 
     #[test]
@@ -359,7 +449,7 @@ mod tests {
             other => panic!("expected cancellation, got {other:?}"),
         }
         let miter = abs_diff_word_miter(&golden, &cand);
-        match exact_word_max(&miter, 1_000_000, &ctl) {
+        match exact_word_max(&miter, 1, true, 1_000_000, &ctl) {
             Err(BuildBddError::Interrupted(Interrupt::Cancelled)) => {}
             other => panic!("expected cancellation, got {other:?}"),
         }

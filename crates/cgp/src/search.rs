@@ -496,10 +496,10 @@ fn bdd_worst_case(
     options: &SearchOptions,
 ) -> Result<Option<u128>, Interrupt> {
     let miter = abs_diff_word_miter(golden_aig, cand_aig).compact();
-    match axmc_bdd::exact_word_max(&miter, options.bdd_node_limit, &options.ctl) {
+    match axmc_bdd::exact_word_max(&miter, 1, true, options.bdd_node_limit, &options.ctl) {
         Ok((wce, _nodes)) => {
             axmc_obs::counter("engine.selected.bdd").inc();
-            Ok(Some(wce))
+            Ok(Some(wce[0]))
         }
         Err(axmc_bdd::BuildBddError::Interrupted(reason)) => Err(reason),
         Err(_) => {

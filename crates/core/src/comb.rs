@@ -161,29 +161,8 @@ impl<'a> CombAnalyzer<'a> {
                 if self.static_tier_active() {
                     let abs = abs_diff_word_miter(self.golden, self.candidate);
                     let (_, bounds) = self.screen_word_miter(&abs);
-                    if let Some(b) = &bounds {
-                        match b.outcome(threshold) {
-                            StaticOutcome::Proved => {
-                                axmc_obs::counter("absint.decided").inc();
-                                return Ok(Verdict::Proved);
-                            }
-                            StaticOutcome::Refuted { witness, .. } => {
-                                axmc_obs::counter("absint.decided").inc();
-                                return Ok(Verdict::Refuted { witness });
-                            }
-                            StaticOutcome::Undecided => {}
-                        }
-                    }
-                    if self.options.backend == Backend::Static {
-                        let (lo, hi) = bounds.map_or((0, u128::MAX), |b| b.interval);
-                        return Ok(Verdict::Interrupted {
-                            best_so_far: Partial {
-                                reason: None,
-                                known_low: lo,
-                                known_high: hi,
-                                completed_bound: None,
-                            },
-                        });
+                    if let Some(verdict) = self.static_verdict(bounds, threshold) {
+                        return Ok(verdict);
                     }
                 }
                 let miter = diff_threshold_miter(self.golden, self.candidate, threshold);
@@ -203,8 +182,48 @@ impl<'a> CombAnalyzer<'a> {
         &self,
         threshold: u32,
     ) -> Result<Verdict<Vec<bool>>, AnalysisError> {
+        if self.static_tier_active() {
+            let popcount = popcount_word_miter(self.golden, self.candidate);
+            let (_, bounds) = self.screen_word_miter(&popcount);
+            if let Some(verdict) = self.static_verdict(bounds, threshold.into()) {
+                return Ok(verdict);
+            }
+        }
         let miter = bit_flip_threshold_miter(self.golden, self.candidate, threshold);
         self.solve_miter(&miter)
+    }
+
+    /// The static tier's answer to a threshold query over a screened
+    /// word, if it has one: a verdict when the interval or a probe decides
+    /// it, and under [`Backend::Static`], which launches no solver, the
+    /// certified interval as an `Interrupted` verdict with no reason.
+    fn static_verdict(
+        &self,
+        bounds: Option<WordBounds>,
+        threshold: u128,
+    ) -> Option<Verdict<Vec<bool>>> {
+        match bounds.as_ref().map(|b| b.outcome(threshold)) {
+            Some(StaticOutcome::Proved) => {
+                axmc_obs::counter("absint.decided").inc();
+                return Some(Verdict::Proved);
+            }
+            Some(StaticOutcome::Refuted { witness, .. }) => {
+                axmc_obs::counter("absint.decided").inc();
+                return Some(Verdict::Refuted { witness });
+            }
+            Some(StaticOutcome::Undecided) | None => {}
+        }
+        (self.options.backend == Backend::Static).then(|| {
+            let (lo, hi) = bounds.map_or((0, u128::MAX), |b| b.interval);
+            Verdict::Interrupted {
+                best_so_far: Partial {
+                    reason: None,
+                    known_low: lo,
+                    known_high: hi,
+                    completed_bound: None,
+                },
+            }
+        })
     }
 
     fn solve_miter(&self, miter: &Aig) -> Result<Verdict<Vec<bool>>, AnalysisError> {
@@ -514,8 +533,11 @@ impl<'a> CombAnalyzer<'a> {
     /// The BDD engine shared by both worst-case metrics: the exact
     /// maximum of the miter's output word.
     fn bdd_word_max(&self, miter: &Aig, ctl: &ResourceCtl) -> BddAttempt<u128> {
-        match axmc_bdd::exact_word_max(miter, self.options.bdd_node_limit, ctl) {
-            Ok((value, nodes)) => BddAttempt::Exact { value, nodes },
+        match axmc_bdd::exact_word_max(miter, 1, true, self.options.bdd_node_limit, ctl) {
+            Ok((value, nodes)) => BddAttempt::Exact {
+                value: value[0],
+                nodes,
+            },
             Err(e) => BddAttempt::from_error(e),
         }
     }
@@ -581,9 +603,9 @@ impl<'a> CombAnalyzer<'a> {
                 self.timed_sat(&self.options.ctl, &sat)
             }
             Backend::Bdd => match self.timed_bdd(&self.options.ctl, &bdd) {
-                BddAttempt::Exact { value, nodes } => {
+                BddAttempt::Exact { value, .. } => {
                     axmc_obs::counter("engine.selected.bdd").inc();
-                    Ok(bdd_report(value, nodes))
+                    Ok(bdd_report(value))
                 }
                 BddAttempt::Unavailable => {
                     axmc_obs::counter("engine.fallback").inc();
@@ -643,7 +665,7 @@ impl<'a> CombAnalyzer<'a> {
                     return sat_out;
                 }
                 match (bdd_out, sat_out) {
-                    (BddAttempt::Exact { value, nodes }, sat_out) => {
+                    (BddAttempt::Exact { value, .. }, sat_out) => {
                         // Both engines are exact: when both finished the
                         // values agree, so either report is correct.
                         if sat_out.is_ok() {
@@ -651,7 +673,7 @@ impl<'a> CombAnalyzer<'a> {
                         }
                         axmc_obs::counter("engine.race.won.bdd").inc();
                         axmc_obs::counter("engine.selected.bdd").inc();
-                        Ok(bdd_report(value, nodes))
+                        Ok(bdd_report(value))
                     }
                     (BddAttempt::Unavailable, sat_out) => {
                         axmc_obs::counter("engine.fallback").inc();
@@ -678,9 +700,9 @@ impl<'a> CombAnalyzer<'a> {
                 // finishes fast (adder-class) or fails fast on its node
                 // budget, after which SAT gets the remaining resources.
                 match self.timed_bdd(&self.options.ctl, &bdd) {
-                    BddAttempt::Exact { value, nodes } => {
+                    BddAttempt::Exact { value, .. } => {
                         axmc_obs::counter("engine.selected.bdd").inc();
-                        Ok(bdd_report(value, nodes))
+                        Ok(bdd_report(value))
                     }
                     BddAttempt::Unavailable => {
                         axmc_obs::counter("engine.fallback").inc();
@@ -743,7 +765,7 @@ impl<T> BddAttempt<T> {
 }
 
 /// An [`ErrorReport`] produced by the BDD engine: no SAT effort spent.
-fn bdd_report<T>(value: T, _nodes: usize) -> ErrorReport<T> {
+pub(crate) fn bdd_report<T>(value: T) -> ErrorReport<T> {
     ErrorReport {
         value,
         sat_calls: 0,
@@ -753,7 +775,7 @@ fn bdd_report<T>(value: T, _nodes: usize) -> ErrorReport<T> {
 }
 
 /// An [`ErrorReport`] decided by the static tier: no solver launched.
-fn static_report<T>(value: T) -> ErrorReport<T> {
+pub(crate) fn static_report<T>(value: T) -> ErrorReport<T> {
     ErrorReport {
         value,
         sat_calls: 0,

@@ -180,7 +180,8 @@ pub enum ErrorGrowth {
 pub struct ErrorProfile {
     /// `profile[k]` = WCE over cycles `0..=k`.
     pub profile: Vec<u128>,
-    /// Total SAT/BMC queries used.
+    /// Total SAT/BMC queries used; zero when the BDD of a feed-forward
+    /// pair's time-frame expansion produced the profile.
     pub sat_calls: u64,
 }
 

@@ -9,14 +9,16 @@
 //! * **WCE@k** — the precise worst-case arithmetic error over all input
 //!   sequences and all cycles `<= k` (counterexample-guided galloping
 //!   search whose probes ask "can the error exceed `t` in cycle `f`?" one
-//!   frame at a time, first frame first, on one warm BMC unrolling);
+//!   frame at a time, first frame first, on one warm BMC unrolling; on a
+//!   feed-forward pair, one BDD of the time-frame expansion);
 //! * **bit-flip@k** — the analogous Hamming-distance metric;
 //! * **total error@k** — the maximum accumulated sum of per-cycle errors
 //!   (the general accumulating-miter scheme);
 //! * **temporal error rate** — the maximum number of erroneous cycles
 //!   within a horizon;
 //! * **error-bound proof** — `G (|error| <= T)` for *unbounded* time via
-//!   k-induction over the threshold miter;
+//!   k-induction over the threshold miter, or on a feed-forward pair from
+//!   the worst case over its depth;
 //! * **growth classification** — whether WCE@k keeps growing with k
 //!   (feedback accumulation) or saturates.
 //!
@@ -27,7 +29,8 @@
 //!
 //! # Threshold probes
 //!
-//! The WCE, bit-flip and profile queries each run on **one** warm
+//! The threshold probes, and the WCE, bit-flip and profile queries the
+//! expansion route below does not answer, each run on **one** warm
 //! engine: the product machine is unrolled into one incremental solver,
 //! and a probe "can the per-cycle word exceed `t` in any cycle `<= h`?"
 //! asks the frames one at a time, first frame first, each under the
@@ -61,14 +64,46 @@
 //! Searches are serial, so a report (value, probes, conflicts) is the
 //! same for every `jobs` value; `jobs` still fans out the total-error
 //! and error-cycle searches, whose probes each build a fresh engine.
+//!
+//! # Feed-forward pairs: the expansion route
+//!
+//! When the reduced miter has a depth `D`, every query over it is
+//! combinational: for `t >= D` the word is the frame-`D` function of the
+//! inputs of cycles `t - D ..= t`, so the words reachable at any cycle
+//! `>= D` are exactly those reachable at cycle `D`. The WCE, bit-flip and
+//! profile queries and [`SeqAnalyzer::prove_error_bound`] therefore
+//! expand the miter into frames `0..=min(k, D)` ([`Aig::expand_frames`],
+//! with `|word|` taken per frame for the signed difference), import the
+//! expansion into one BDD and read each frame's maximum
+//! ([`axmc_bdd::exact_word_max`]); the profile is their running maximum,
+//! padded past `D`. The maximum over frames `0..=D` is the all-time worst
+//! case, so a bound at or above it is proved with no induction; a bound
+//! below it goes to k-induction, which refutes it in its base case.
+//!
+//! The variable order keeps the frame copies of each input adjacent.
+//! Within a frame the two operand halves are interleaved when the
+//! golden's least significant output bit depends on input `n / 2` (two
+//! operands combined bit by bit: the registered ALU and multiplier), and
+//! kept in natural order otherwise (one word through a delay line: the
+//! FIR); each order blows up on the other family.
+//!
+//! The route takes only uncertified queries (a BDD answer carries no
+//! DRAT certificate) and ignores `backend`, which selects combinational
+//! engines. A blown node budget (`bdd_node_limit`) falls back to the SAT
+//! search; a fired deadline or cancellation returns `Interrupted` without
+//! one. Threshold probes ([`SeqProbe`], `check_error_exceeds`), earliest
+//! error and every feedback pair stay on SAT: with no depth bound the
+//! expansion grows with `k`, and its BDD with it.
 
 use crate::bound_search::{each, record_search, search_max_error, search_window};
 use crate::cache::{cached, metric, CachedResult, QueryKey};
+use crate::comb::{bdd_report, static_report};
 use crate::engine::{Backend, EngineKind};
 use crate::options::AnalysisOptions;
 use crate::report::{AnalysisError, ErrorProfile, ErrorReport, Partial};
 use crate::verdict::Verdict;
-use axmc_aig::{bits_to_u128, Aig, Simulator};
+use axmc_aig::{bits_to_u128, Aig, Simulator, Word};
+use axmc_bdd::BuildBddError;
 use axmc_cnf::gates;
 use axmc_mc::{
     prove_invariant, Bmc, BmcOptions, BmcResult, InductionOptions, ProofResult, Trace, Unroller,
@@ -279,6 +314,26 @@ impl ThresholdEngine {
         self.unroller.solver().stats().conflicts
     }
 
+    /// The expansion route's BDD (see the module docs): the maximum of
+    /// the per-cycle word (of its magnitude, for a signed difference) in
+    /// each of the first `frames` cycles, from one BDD of the unrolled
+    /// miter's `frames`-frame expansion, and the peak node count.
+    fn frame_maxima(
+        &self,
+        frames: usize,
+        interleave: bool,
+        node_limit: usize,
+        ctl: &ResourceCtl,
+    ) -> Result<(Vec<u128>, usize), BuildBddError> {
+        let mut miter = self.unroller.aig().clone();
+        if let WordKind::SignedDiff = self.kind {
+            let abs = Word::from_lits(miter.outputs().to_vec()).abs(&mut miter);
+            miter.set_outputs(abs.into_lits());
+        }
+        let expansion = miter.expand_frames(frames);
+        axmc_bdd::exact_word_max(&expansion, frames, interleave, node_limit, ctl)
+    }
+
     /// The frame-major search (see the module docs): the exact maximum
     /// of `metric` over the cycles `<= h` for every horizon `h = 0..=k`,
     /// and the probes the query issued; it counts as one search in the
@@ -437,6 +492,16 @@ impl<'a> SeqAnalyzer<'a> {
         self.options.static_tier || self.options.backend == Backend::Static
     }
 
+    /// The largest `|error|` the output word can show.
+    fn word_max(&self) -> u128 {
+        let m = self.golden.num_outputs();
+        if m >= 128 {
+            u128::MAX
+        } else {
+            (1u128 << m) - 1
+        }
+    }
+
     /// Certified `[lo, hi]` interval on a sequential miter's unsigned
     /// output word over **every** reachable cycle, from the converged
     /// ternary fixpoint (latch values over-approximated from reset).
@@ -446,6 +511,106 @@ impl<'a> SeqAnalyzer<'a> {
     /// horizon.
     fn static_word_interval(miter: &Aig) -> Option<(u128, u128)> {
         axmc_absint::TernaryAnalysis::fixpoint(miter).output_interval(miter)
+    }
+
+    /// The static tier over the difference word, for the queries that
+    /// read it: `Ok(true)` when the word is statically zero in every
+    /// reachable cycle, which decides the query; `Ok(false)` when an
+    /// engine has to run. Under [`Backend::Static`], which launches no
+    /// engine, an undecided query gets `Err` with the `|error|` interval
+    /// `[0, word_max]` and no interrupt reason.
+    fn screen_diff_word(&self) -> Result<bool, Partial> {
+        if !self.static_tier_active() {
+            return Ok(false);
+        }
+        let miter = sequential_diff_word_miter(self.golden, self.approx);
+        if Self::static_word_interval(&miter) == Some((0, 0)) {
+            axmc_obs::counter("absint.decided").inc();
+            return Ok(true);
+        }
+        if self.options.backend == Backend::Static {
+            return Err(Partial {
+                reason: None,
+                known_low: 0,
+                known_high: self.word_max(),
+                completed_bound: None,
+            });
+        }
+        Ok(false)
+    }
+
+    /// The expansion route's order rule (see the module docs): interleave
+    /// the two operand halves of each frame's inputs when the golden's
+    /// least significant output bit depends on input `n / 2`, as it does
+    /// when two operands are combined bit by bit (the registered ALU and
+    /// multiplier); keep the natural order otherwise, as for one word
+    /// through a delay line (the FIR). Read at the last of `frames`
+    /// frames of the golden's expansion.
+    fn interleaves_operands(&self, frames: usize) -> bool {
+        let (n, m) = (self.golden.num_inputs(), self.golden.num_outputs());
+        if m == 0 {
+            return false;
+        }
+        let expansion = self.golden.expand_frames(frames);
+        let lsb = expansion.outputs()[(frames - 1) * m];
+        expansion
+            .support(lsb)
+            .iter()
+            .any(|&i| i as usize % n == n / 2)
+    }
+
+    /// The expansion route of a feed-forward pair (see the module docs):
+    /// the maximum of `engine`'s word over the cycles `<= h` for every
+    /// `h = 0..=k`, from one BDD of its miter's `min(k, D) + 1`-frame
+    /// expansion. `Ok(None)` when the route does not apply (a latch cycle
+    /// in the cone, or a certified query) or the BDD blew its node
+    /// budget: the caller then runs the SAT search.
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisError::Interrupted`] over `[0, max]` when `ctl` fires:
+    /// that is the caller's own limit, so no SAT search follows.
+    fn bdd_profile(
+        &self,
+        engine: &ThresholdEngine,
+        k: usize,
+        max: u128,
+        ctl: &ResourceCtl,
+    ) -> Result<Option<Vec<u128>>, AnalysisError> {
+        let Some(depth) = engine.depth else {
+            return Ok(None);
+        };
+        if self.options.certify {
+            return Ok(None);
+        }
+        let _span = axmc_obs::span("engine.bdd.time_us");
+        let frames = depth.min(k) + 1;
+        let interleave = self.interleaves_operands(depth + 1);
+        match engine.frame_maxima(frames, interleave, self.options.bdd_node_limit, ctl) {
+            Ok((maxima, nodes)) => {
+                axmc_obs::counter("engine.selected.bdd").inc();
+                axmc_obs::histogram("bdd.nodes").record(nodes as u64);
+                let mut profile: Vec<u128> = maxima
+                    .iter()
+                    .scan(0, |best, &value| {
+                        *best = value.max(*best);
+                        Some(*best)
+                    })
+                    .collect();
+                profile.resize(k + 1, profile[frames - 1]);
+                Ok(Some(profile))
+            }
+            Err(BuildBddError::SizeLimit { .. } | BuildBddError::WidthLimit { .. }) => {
+                axmc_obs::counter("engine.fallback").inc();
+                Ok(None)
+            }
+            Err(BuildBddError::Interrupted(reason)) => Err(AnalysisError::Interrupted(Partial {
+                reason: Some(reason),
+                known_low: 0,
+                known_high: max,
+                completed_bound: None,
+            })),
+        }
     }
 
     /// Finds the earliest cycle (up to `max_cycles - 1`) in which the two
@@ -551,14 +716,11 @@ impl<'a> SeqAnalyzer<'a> {
                 done => Some(CachedResult::SeqVerdict(done.clone())),
             },
             || {
-                if self.static_tier_active() {
-                    let miter = sequential_diff_word_miter(self.golden, self.approx);
-                    if Self::static_word_interval(&miter) == Some((0, 0)) {
-                        // The difference word is statically zero in every
-                        // reachable cycle: no threshold can be exceeded.
-                        axmc_obs::counter("absint.decided").inc();
-                        return Ok(Verdict::Proved);
-                    }
+                match self.screen_diff_word() {
+                    // No threshold can be exceeded by a zero word.
+                    Ok(true) => return Ok(Verdict::Proved),
+                    Ok(false) => {}
+                    Err(best_so_far) => return Ok(Verdict::Interrupted { best_so_far }),
                 }
                 let mut engine = self.diff_engine();
                 engine.probe(threshold, k)
@@ -587,8 +749,9 @@ impl<'a> SeqAnalyzer<'a> {
     }
 
     /// The precise worst-case error over all cycles `<= k`, via the
-    /// frame-major search over per-frame BMC probes on one warm engine
-    /// (see the module docs).
+    /// frame-major search over per-frame BMC probes on one warm engine,
+    /// or on a feed-forward pair via the expansion route (see the module
+    /// docs).
     ///
     /// # Errors
     ///
@@ -607,36 +770,20 @@ impl<'a> SeqAnalyzer<'a> {
             },
             |r| Some(CachedResult::Wide(*r)),
             || {
-                let m = self.golden.num_outputs();
-                let max: u128 = if m >= 128 {
-                    u128::MAX
-                } else {
-                    (1u128 << m) - 1
-                };
-                if self.static_tier_active() {
-                    // The diff word is signed, so only the all-bits-zero
-                    // ceiling is a certified |error| bound — but that one
-                    // case decides the query with no solver at all.
-                    let miter = sequential_diff_word_miter(self.golden, self.approx);
-                    if Self::static_word_interval(&miter) == Some((0, 0)) {
-                        axmc_obs::counter("absint.decided").inc();
-                        return Ok(ErrorReport {
-                            value: 0,
-                            sat_calls: 0,
-                            conflicts: 0,
-                            engine: EngineKind::Static,
-                        });
-                    }
-                    if self.options.backend == Backend::Static {
-                        return Err(AnalysisError::Interrupted(Partial {
-                            reason: None,
-                            known_low: 0,
-                            known_high: max,
-                            completed_bound: None,
-                        }));
-                    }
+                let max = self.word_max();
+                // The diff word is signed, so only the all-bits-zero
+                // ceiling is a certified |error| bound — but that one case
+                // decides the query with no solver at all.
+                if self
+                    .screen_diff_word()
+                    .map_err(AnalysisError::Interrupted)?
+                {
+                    return Ok(static_report(0));
                 }
                 let mut engine = self.diff_engine();
+                if let Some(profile) = self.bdd_profile(&engine, k, max, &self.options.ctl)? {
+                    return Ok(bdd_report(profile[k]));
+                }
                 let (values, sat_calls) =
                     engine.search("seq.wce", k, max, (0, max), |trace| self.trace_error(trace))?;
                 Ok(ErrorReport {
@@ -650,7 +797,8 @@ impl<'a> SeqAnalyzer<'a> {
     }
 
     /// The precise worst-case Hamming distance of the outputs over all
-    /// cycles `<= k`.
+    /// cycles `<= k`, by the same routes as
+    /// [`SeqAnalyzer::worst_case_error_at`].
     ///
     /// # Errors
     ///
@@ -684,12 +832,7 @@ impl<'a> SeqAnalyzer<'a> {
                     if let Some((lo, hi)) = Self::static_word_interval(&miter) {
                         if lo == hi {
                             axmc_obs::counter("absint.decided").inc();
-                            return Ok(ErrorReport {
-                                value: lo as u32,
-                                sat_calls: 0,
-                                conflicts: 0,
-                                engine: EngineKind::Static,
-                            });
+                            return Ok(static_report(lo as u32));
                         }
                         if self.options.backend == Backend::Static {
                             return Err(AnalysisError::Interrupted(Partial {
@@ -710,6 +853,9 @@ impl<'a> SeqAnalyzer<'a> {
                     }
                 }
                 let mut engine = ThresholdEngine::new(miter, WordKind::Unsigned, &self.options);
+                if let Some(profile) = self.bdd_profile(&engine, k, max, &self.options.ctl)? {
+                    return Ok(bdd_report(profile[k] as u32));
+                }
                 let (values, sat_calls) =
                     engine.search("seq.bit_flip", k, max, window, |trace| {
                         self.trace_bit_flips(trace)
@@ -725,22 +871,33 @@ impl<'a> SeqAnalyzer<'a> {
     }
 
     /// The per-horizon worst-case error profile `WCE@0 .. WCE@k`: the
-    /// frame-major search behind [`SeqAnalyzer::worst_case_error_at`]
-    /// settles every horizon on the way, so the profile costs no more
-    /// than `WCE@k`. Horizons past the sequential depth repeat its value.
+    /// frame-major search, or the expansion route's per-frame maxima,
+    /// behind [`SeqAnalyzer::worst_case_error_at`] settles every horizon
+    /// on the way, so the profile costs no more than `WCE@k`. Horizons
+    /// past the sequential depth repeat its value.
     ///
     /// # Errors
     ///
     /// [`AnalysisError::Interrupted`] if a resource limit stops any
     /// horizon's search.
     pub fn error_profile(&self, k: usize) -> Result<ErrorProfile, AnalysisError> {
-        let m = self.golden.num_outputs();
-        let max = if m >= 128 {
-            u128::MAX
-        } else {
-            (1u128 << m) - 1
-        };
+        let max = self.word_max();
+        if self
+            .screen_diff_word()
+            .map_err(AnalysisError::Interrupted)?
+        {
+            return Ok(ErrorProfile {
+                profile: vec![0; k + 1],
+                sat_calls: 0,
+            });
+        }
         let mut engine = self.diff_engine();
+        if let Some(profile) = self.bdd_profile(&engine, k, max, &self.options.ctl)? {
+            return Ok(ErrorProfile {
+                profile,
+                sat_calls: 0,
+            });
+        }
         let (profile, sat_calls) = engine.search("seq.profile", k, max, (0, max), |trace| {
             self.trace_error(trace)
         })?;
@@ -748,7 +905,10 @@ impl<'a> SeqAnalyzer<'a> {
     }
 
     /// Attempts to prove the **unbounded** bound `G (|error| <= threshold)`
-    /// by k-induction over the sequential threshold miter.
+    /// by k-induction over the sequential threshold miter. On a
+    /// feed-forward pair an uncertified attempt first compares the bound
+    /// with the all-time worst case from the expansion route (see the
+    /// module docs); only a bound below it reaches k-induction.
     ///
     /// The analyzer's resource control composes into the proof attempt:
     /// its deadline can only tighten the one in `options`, and its
@@ -766,7 +926,11 @@ impl<'a> SeqAnalyzer<'a> {
         threshold: u128,
         options: &InductionOptions,
     ) -> Result<Verdict<Trace>, AnalysisError> {
-        let miter = sequential_diff_miter(self.golden, self.approx, threshold);
+        match self.screen_diff_word() {
+            Ok(true) => return Ok(Verdict::Proved),
+            Ok(false) => {}
+            Err(best_so_far) => return Ok(Verdict::Interrupted { best_so_far }),
+        }
         let mut options = options.clone();
         if let Some(deadline) = self.options.ctl.deadline() {
             options.ctl = options.ctl.with_deadline(deadline);
@@ -777,6 +941,29 @@ impl<'a> SeqAnalyzer<'a> {
             }
         }
         options.certify |= self.options.certify;
+        if !options.certify {
+            // Every cycle from the depth D on reaches the words of cycle
+            // D, so the maximum over cycles 0..=D is the all-time worst
+            // case. A bound below it falls through: k-induction refutes it
+            // in its base case and returns the witness.
+            let engine = self.diff_engine();
+            if let Some(depth) = engine.depth {
+                match self.bdd_profile(&engine, depth, u128::MAX, &options.ctl) {
+                    Ok(Some(profile)) if profile[depth] <= threshold => return Ok(Verdict::Proved),
+                    Ok(_) => {}
+                    Err(AnalysisError::Interrupted(partial)) => {
+                        return Ok(Verdict::Interrupted {
+                            best_so_far: Partial {
+                                completed_bound: Some(0),
+                                ..partial
+                            },
+                        })
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+        let miter = sequential_diff_miter(self.golden, self.approx, threshold);
         match prove_invariant(&miter, &options)? {
             ProofResult::Proved { .. } => Ok(Verdict::Proved),
             ProofResult::Falsified(trace) => Ok(Verdict::Refuted { witness: trace }),
@@ -1913,6 +2100,130 @@ mod tests {
             past_depth > 0,
             "the feed-forward pairs must exercise the depth cap"
         );
+    }
+
+    // -- the expansion route ------------------------------------------
+
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    #[test]
+    fn expansion_replays_every_standard_pair() {
+        let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
+        for pair in axmc_seq::suite::standard_suite(8) {
+            for aig in [&pair.golden, &pair.approx] {
+                let (n, m) = (aig.num_inputs(), aig.num_outputs());
+                for frames in 1..=4 {
+                    let expansion = aig.expand_frames(frames);
+                    assert_eq!(expansion.num_inputs(), frames * n);
+                    assert_eq!(expansion.num_outputs(), frames * m);
+                    assert_eq!(expansion.num_latches(), 0);
+                    for _ in 0..4 {
+                        let trace = Trace {
+                            inputs: (0..frames)
+                                .map(|_| (0..n).map(|_| next() & 1 == 1).collect())
+                                .collect(),
+                        };
+                        assert_eq!(
+                            expansion.eval_comb(&trace.inputs.concat()),
+                            trace.replay(aig).concat(),
+                            "{} over {frames} frames",
+                            pair.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn order_rule_interleaves_exactly_the_two_operand_pairs() {
+        for pair in axmc_seq::suite::standard_suite(8) {
+            if pair.feedback {
+                continue;
+            }
+            let analyzer = SeqAnalyzer::new(&pair.golden, &pair.approx);
+            let depth = analyzer.diff_engine().depth.expect("a feed-forward pair");
+            let design = pair.design.as_str();
+            let two_operands = design.starts_with("alu") || design.starts_with("regmul");
+            assert!(two_operands || design.starts_with("fir"), "{}", pair.name);
+            assert_eq!(
+                analyzer.interleaves_operands(depth + 1),
+                two_operands,
+                "{}",
+                pair.name
+            );
+        }
+    }
+
+    #[test]
+    fn expansion_route_matches_the_sat_search() {
+        // Every feed-forward pair of the standard suite, to twice its depth
+        // and one more: the BDD route (default options), the SAT route (a
+        // node budget any gate blows) and the certified search agree.
+        for pair in axmc_seq::suite::standard_suite(8) {
+            if pair.feedback {
+                continue;
+            }
+            let (golden, apx, name) = (&pair.golden, &pair.approx, &pair.name);
+            let with =
+                |options: AnalysisOptions| SeqAnalyzer::new(golden, apx).with_options(options);
+            let bdd = SeqAnalyzer::new(golden, apx);
+            let sat = with(AnalysisOptions::new().with_bdd_node_limit(0));
+            let certified = with(AnalysisOptions::new().with_certify(true));
+            let expired = with(AnalysisOptions::new().with_timeout(Duration::ZERO));
+            let depth = bdd.diff_engine().depth.expect("a feed-forward pair");
+            for k in 0..=2 * depth + 1 {
+                let wce = [&bdd, &sat, &certified].map(|a| a.worst_case_error_at(k).unwrap());
+                let flips = [&bdd, &sat, &certified].map(|a| a.bit_flip_error_at(k).unwrap());
+                for (metric, values, engines) in [
+                    ("wce", wce.map(|r| r.value), wce.map(|r| r.engine)),
+                    (
+                        "bit-flip",
+                        flips.map(|r| r.value.into()),
+                        flips.map(|r| r.engine),
+                    ),
+                ] {
+                    assert_eq!(values, [values[0]; 3], "{name} {metric}@{k}");
+                    // Before its depth a pipeline shows only reset values:
+                    // an expansion with no gate fits even the zero budget.
+                    let constant = k < depth && values[0] == 0;
+                    let sat_route = if constant {
+                        EngineKind::Bdd
+                    } else {
+                        EngineKind::Sat
+                    };
+                    assert_eq!(
+                        engines,
+                        [EngineKind::Bdd, sat_route, EngineKind::Sat],
+                        "{name} {metric}@{k}"
+                    );
+                }
+                assert_eq!(
+                    bdd.error_profile(k).unwrap().profile[k],
+                    wce[0].value,
+                    "{name} profile@{k}"
+                );
+                assert!(matches!(
+                    expired.worst_case_error_at(k),
+                    Err(AnalysisError::Interrupted(_))
+                ));
+                assert!(matches!(
+                    expired.bit_flip_error_at(k),
+                    Err(AnalysisError::Interrupted(_))
+                ));
+                assert!(matches!(
+                    expired.error_profile(k),
+                    Err(AnalysisError::Interrupted(_))
+                ));
+            }
+        }
     }
 
     #[test]

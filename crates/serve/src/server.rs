@@ -26,8 +26,10 @@ pub struct ServeConfig {
     pub jobs: usize,
     /// Default certified mode for jobs that don't set `certify`.
     pub certify: bool,
-    /// Backend for combinational metrics (sequential analyses are
-    /// always SAT/BMC, exactly like `axmc analyze`).
+    /// Backend for combinational metrics. Sequential analyses do not
+    /// read it, exactly like `axmc analyze`: they run SAT/BMC, except
+    /// that an uncertified WCE or bit-flip job on a feed-forward pair is
+    /// decided on the BDD of the pair's time-frame expansion.
     pub backend: Backend,
     /// Default per-job deadline applied when a request carries no
     /// `timeout_ms`.
@@ -357,9 +359,9 @@ impl Server {
             .with_ctl(ctl)
             .with_certify(certify)
             .with_inprocessing(self.config.inprocess)
-            // Sequential analyses are always SAT/BMC; forcing the key's
-            // backend field keeps seq cache keys canonical across
-            // configurations.
+            // Sequential analyses do not read the backend (the pair's
+            // structure picks their engine); forcing the key's backend
+            // field keeps seq cache keys canonical across configurations.
             .with_backend(if sequential {
                 Backend::Sat
             } else {

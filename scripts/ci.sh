@@ -357,6 +357,23 @@ t1_values_gate() {
 }
 t1_values_gate
 
+# Benchmark known-answers gate: the benchmark's own tests, then one short
+# seq_bmc run. A run makes at least three whole passes, so every one of
+# its 144 sequential answers (earliest, WCE@k, BF@k at k = 4 and 6, and
+# the proofs) is checked against axbench/answers.tsv; the last line of
+# its output must report no failed query.
+axbench_answers_gate() {
+    echo "== axbench answers gate =="
+    local last
+    run cargo test --manifest-path axbench/Cargo.toml --offline -q
+    last=$(cargo run --release --offline --manifest-path axbench/Cargo.toml -- \
+        --workload seq_bmc --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    echo "$last"
+    grep -q '"failed":0' <<<"$last" \
+        || { echo "seq_bmc answered a query wrongly"; exit 1; }
+}
+axbench_answers_gate
+
 # Throughput gate for the static tier's costliest consumer: the T5
 # harness (CGP evaluations/second — every candidate now passes the
 # static pre-screen before a solver sees it) must not regress against

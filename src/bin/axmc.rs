@@ -161,7 +161,8 @@ USAGE:
                [--metrics] [--trace F.jsonl] [--run-dir DIR]
       Exact worst-case / bit-flip error of C against G. Sequential pairs
       are analyzed within K cycles (default 8); --prove additionally
-      attempts an unbounded k-induction certificate at the measured WCE.
+      attempts an unbounded proof of the measured WCE (k-induction, or
+      on a feed-forward pair the worst case over its sequential depth).
 
   axmc characterize [--library DIR] [--width W | --widths W1,W2,...]
                     [--kinds adders,multipliers,imports|all] [--measure wce,bit-flip,avg]
@@ -247,8 +248,12 @@ CERTIFICATION:
 
 ENGINES:
   --engine E        analysis backend for the combinational metrics and
-                    the evolve fitness oracle (sequential analyses are
-                    always SAT/BMC). E is one of:
+                    the evolve fitness oracle. Sequential analyses ignore
+                    it except for static: they run SAT/BMC, and an
+                    uncertified WCE, bit-flip or --prove query on a
+                    feed-forward pair is decided on the BDD of its
+                    time-frame expansion (SAT when that blows its node
+                    budget). E is one of:
                       sat   CEGIS threshold search on the CDCL solver —
                             the paper's engine and the default
                       bdd   exact ROBDD characteristic-function engine;
@@ -821,8 +826,8 @@ fn cmd_analyze(opts: &Flags) -> Result<(), CliError> {
             .worst_case_error_at(horizon)
             .map_err(report_analysis_error)?;
         println!(
-            "worst-case error@k   : {} ({} probes, {} conflicts)",
-            wce.value, wce.sat_calls, wce.conflicts
+            "worst-case error@k   : {} ({} probes, {} conflicts, via {})",
+            wce.value, wce.sat_calls, wce.conflicts, wce.engine
         );
         let bf = analyzer
             .bit_flip_error_at(horizon)
@@ -841,14 +846,12 @@ fn cmd_analyze(opts: &Flags) -> Result<(), CliError> {
                 .map_err(report_analysis_error)?;
             match verdict {
                 Verdict::Proved => {
-                    println!(
-                        "unbounded bound      : |error| <= {} proved (k-induction)",
-                        wce.value
-                    )
+                    println!("unbounded bound      : |error| <= {} proved", wce.value)
                 }
+                // The witness ends at the first cycle that exceeds it.
                 Verdict::Refuted { witness } => println!(
-                    "unbounded bound      : exceeded in a {}-cycle run (error accumulates)",
-                    witness.len()
+                    "unbounded bound      : exceeded at cycle {}",
+                    witness.len().saturating_sub(1)
                 ),
                 Verdict::Interrupted { best_so_far } => {
                     println!("unbounded bound      : undecided ({best_so_far})")

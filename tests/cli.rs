@@ -764,3 +764,53 @@ fn serve_batches_match_analyze_and_hit_the_cache() {
     assert!(text.contains("serve.cache.miss"), "{text}");
     assert!(text.contains("serve.job"), "{text}");
 }
+
+#[test]
+fn feed_forward_pairs_name_the_engine_and_the_exceeding_cycle() {
+    // A 3-tap FIR over 4-bit samples, written to AIGER in the test: its
+    // outputs depend on the last three cycles only, so its sequential
+    // queries are decided on the BDD of the three-frame expansion.
+    use axmc::circuit::{approx, generators};
+    use axmc::seq::fir_moving_sum;
+    let g = tmp("fir_g.aag");
+    let c = tmp("fir_c.aag");
+    let golden = fir_moving_sum(&generators::ripple_carry_adder(4), 4, 3);
+    let cheap = fir_moving_sum(&approx::truncated_adder(4, 2), 4, 3);
+    std::fs::write(&g, axmc::aig::aiger::to_ascii(&golden)).unwrap();
+    std::fs::write(&c, axmc::aig::aiger::to_ascii(&cheap)).unwrap();
+    let analyze = |horizon: &str| {
+        let out = axmc()
+            .args(["analyze", "--golden"])
+            .arg(&g)
+            .arg("--approx")
+            .arg(&c)
+            .args(["--horizon", horizon, "--prove"])
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    // Past the depth the WCE is the all-time worst case, which is proved.
+    let text = analyze("5");
+    assert!(text.contains("(0 probes, 0 conflicts, via bdd)"), "{text}");
+    assert!(
+        text.contains("unbounded bound      : |error| <= "),
+        "{text}"
+    );
+    assert!(text.contains(" proved\n"), "{text}");
+    assert!(!text.contains("k-induction"), "{text}");
+    // Cycle 0 shows one truncated sample; the bound it sets is exceeded
+    // once two samples are summed, with nothing accumulating.
+    let text = analyze("0");
+    assert!(
+        text.contains("unbounded bound      : exceeded at cycle 1\n"),
+        "{text}"
+    );
+    assert!(!text.contains("accumulates"), "{text}");
+    let _ = std::fs::remove_file(&g);
+    let _ = std::fs::remove_file(&c);
+}

@@ -5,9 +5,9 @@
 //! randomly generated sequential property circuits.
 
 use axmc::aig::{Aig, Lit, Word};
-use axmc::core::SeqAnalyzer;
+use axmc::core::{AnalysisOptions, SeqAnalyzer, Verdict};
 use axmc::mc::{explicit_reach, prove_invariant, Bmc, BmcResult, InductionOptions, ProofResult};
-use axmc::miter::{sequential_diff_miter, sequential_strict_miter};
+use axmc::miter::{sequential_bit_flip_miter, sequential_diff_miter, sequential_strict_miter};
 use proptest::prelude::*;
 
 /// A random small sequential single-output circuit: a few latches with
@@ -126,6 +126,16 @@ fn explicit_wce(golden: &Aig, approx: &Aig, k: usize) -> u128 {
         .expect("the difference word is finite")
 }
 
+/// BF@k by explicit-state search, as [`explicit_wce`] does for WCE@k.
+fn explicit_bit_flips(golden: &Aig, approx: &Aig, k: usize) -> u32 {
+    (0u32..)
+        .find(|&t| {
+            let miter = sequential_bit_flip_miter(golden, approx, t);
+            explicit_reach(&miter, k).bad_depth.is_none()
+        })
+        .expect("the output word is finite")
+}
+
 proptest! {
     // About a third of the pairs never differ; the rest cover depths 0-4.
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -135,13 +145,47 @@ proptest! {
         let (golden, approx) = pair;
         let strict = sequential_strict_miter(&golden, &approx);
         let depth = strict.sequential_depth().expect("acyclic by construction");
-        let analyzer = SeqAnalyzer::new(&golden, &approx);
-        let first = explicit_reach(&strict, 2 * depth + 2).bad_depth;
-        for k in 0..=2 * depth + 2 {
-            let earliest = analyzer.earliest_error(k + 1).expect("unbudgeted").cycle;
+        let horizon = 2 * depth + 2;
+        let first = explicit_reach(&strict, horizon).bad_depth;
+        let wce: Vec<u128> = (0..=horizon).map(|k| explicit_wce(&golden, &approx, k)).collect();
+        // The BDD route (default options), the SAT route (a node budget
+        // any gate blows) and the certified SAT search.
+        let analyzers = [
+            AnalysisOptions::new(),
+            AnalysisOptions::new().with_bdd_node_limit(0),
+            AnalysisOptions::new().with_certify(true),
+        ]
+        .map(|options| SeqAnalyzer::new(&golden, &approx).with_options(options));
+        for k in 0..=horizon {
+            let earliest = analyzers[0].earliest_error(k + 1).expect("unbudgeted").cycle;
             prop_assert_eq!(earliest, first.filter(|&c| c <= k), "earliest within {}", k);
-            let wce = analyzer.worst_case_error_at(k).expect("unbudgeted").value;
-            prop_assert_eq!(wce, explicit_wce(&golden, &approx, k), "WCE@{}", k);
+        }
+        for (route, analyzer) in ["bdd", "sat", "certified"].iter().zip(&analyzers) {
+            for (k, &expected) in wce.iter().enumerate() {
+                let value = analyzer.worst_case_error_at(k).expect("unbudgeted").value;
+                prop_assert_eq!(value, expected, "{} WCE@{}", route, k);
+                let flips = analyzer.bit_flip_error_at(k).expect("unbudgeted").value;
+                prop_assert_eq!(flips, explicit_bit_flips(&golden, &approx, k), "{} BF@{}", route, k);
+            }
+            let profile = analyzer.error_profile(horizon).expect("unbudgeted").profile;
+            prop_assert_eq!(&profile, &wce, "{} profile", route);
+        }
+        // The worst case by the pair's depth, which bounds the difference
+        // word's (the strict miter's can be smaller: an output pinned to
+        // differ hides the others), holds for ever; one less is refuted by
+        // a run that exceeds it.
+        let pair_depth = golden.sequential_depth().max(approx.sequential_depth()).expect("acyclic");
+        let worst = explicit_wce(&golden, &approx, pair_depth);
+        let options = InductionOptions { max_k: pair_depth + 2, ..InductionOptions::default() };
+        let analyzer = &analyzers[0];
+        prop_assert!(analyzer.prove_error_bound(worst, &options).expect("unbudgeted").is_proved());
+        if let Some(below) = worst.checked_sub(1) {
+            match analyzer.prove_error_bound(below, &options).expect("unbudgeted") {
+                Verdict::Refuted { witness } => {
+                    prop_assert!(analyzer.trace_error(&witness) > below, "witness within {}", below)
+                }
+                other => prop_assert!(false, "bound {} below the worst case: {:?}", below, other),
+            }
         }
     }
 }

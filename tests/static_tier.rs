@@ -14,9 +14,13 @@
 //! equisatisfiable (256 random vectors agree pre/post reduction) and the
 //! certified interval always brackets the true worst-case error.
 
+use axmc::aig::bits_to_u128;
 use axmc::circuit::{approx, generators};
 use axmc::core::exhaustive_stats;
-use axmc::{AnalysisError, AnalysisOptions, Backend, CombAnalyzer, EngineKind, Verdict};
+use axmc::{
+    AnalysisError, AnalysisOptions, Backend, CombAnalyzer, EngineKind, InductionOptions,
+    SeqAnalyzer, Verdict,
+};
 
 /// Every adder pair in the library at a width small enough for an
 /// exhaustive ground truth.
@@ -154,4 +158,60 @@ fn identical_pairs_never_touch_a_solver_under_auto() {
         assert_eq!(report.sat_calls, 0);
         assert_eq!(report.conflicts, 0);
     }
+}
+
+/// Asserts that a verdict is the static tier's undecided interval.
+fn undecided<W: std::fmt::Debug>(verdict: Verdict<W>, what: &str) {
+    match verdict {
+        Verdict::Interrupted { best_so_far } => {
+            assert_eq!(best_so_far.reason, None, "{what}");
+            assert!(best_so_far.known_low <= best_so_far.known_high, "{what}");
+        }
+        other => panic!("{what}: expected the static interval, got {other:?}"),
+    }
+}
+
+#[test]
+fn static_backend_launches_no_engine_in_threshold_queries() {
+    // `Backend::Static` promises that no solver runs: the threshold probe,
+    // profile and proof of a sequential pair, and the combinational
+    // bit-flip probe, either decide from the static tier or return its
+    // interval with no interrupt reason.
+    use axmc::seq::accumulator;
+    let golden = accumulator(&generators::ripple_carry_adder(6), 6);
+    let apx = accumulator(&approx::truncated_adder(6, 2), 6);
+    let adder = generators::ripple_carry_adder(6).to_aig();
+    let cheap = approx::truncated_adder(6, 2).to_aig();
+    let options = with_backend(Backend::Static, true).with_jobs(1);
+    axmc::obs::set_enabled(true);
+    // Counters resolve against a thread-local registry inside the scope,
+    // so tests running alongside cannot add to them.
+    let (solves, nodes) = axmc::obs::worker_scope(|| {
+        let seq = SeqAnalyzer::new(&golden, &apx).with_options(options.clone());
+        undecided(seq.check_error_exceeds(3, 4).unwrap(), "exceeds");
+        match seq.error_profile(3) {
+            Err(AnalysisError::Interrupted(p)) => assert_eq!(p.reason, None, "profile"),
+            other => panic!("profile: expected the static interval, got {other:?}"),
+        }
+        let induction = InductionOptions {
+            max_k: 3,
+            ..InductionOptions::default()
+        };
+        undecided(seq.prove_error_bound(60, &induction).unwrap(), "proof");
+        let comb = CombAnalyzer::new(&adder, &cheap).with_options(options.clone());
+        match comb.check_bit_flips_exceed(1).unwrap() {
+            // The tier's concrete probes may decide this one.
+            Verdict::Refuted { witness } => {
+                let g = bits_to_u128(&adder.eval_comb(&witness));
+                let c = bits_to_u128(&cheap.eval_comb(&witness));
+                assert!((g ^ c).count_ones() > 1, "bit flips: a bad witness");
+            }
+            other => undecided(other, "bit flips"),
+        }
+        (
+            axmc::obs::counter("sat.solves").get(),
+            axmc::obs::counter("bdd.nodes.created").get(),
+        )
+    });
+    assert_eq!((solves, nodes), (0, 0), "sat.solves, bdd.nodes.created");
 }
