@@ -242,18 +242,22 @@ impl Manager {
     }
 
     /// Attaches a resource control. The manager observes the control's
-    /// wall-clock deadline and cancellation token (checked cooperatively
-    /// every `CTL_POLL_INTERVAL` operations); the deterministic
-    /// conflict budget is a SAT-engine concept and is ignored here — the
-    /// BDD analogue of a budget is the node limit.
+    /// wall-clock deadline, its per-call timeout (counted from this call,
+    /// as one solver call's would be) and its cancellation token, checked
+    /// cooperatively every `CTL_POLL_INTERVAL` operations; the
+    /// deterministic conflict budget is a SAT-engine concept and is
+    /// ignored here — the BDD analogue of a budget is the node limit.
     pub fn with_ctl(mut self, ctl: ResourceCtl) -> Self {
-        self.ctl = ctl;
+        self.set_ctl(ctl);
         self
     }
 
     /// Replaces the attached resource control (see [`Manager::with_ctl`]).
     pub fn set_ctl(&mut self, ctl: ResourceCtl) {
-        self.ctl = ctl;
+        self.ctl = match ctl.call_deadline() {
+            Some(deadline) => ctl.with_deadline(deadline),
+            None => ctl,
+        };
     }
 
     /// Amortized cooperative interrupt check, called from the fallible

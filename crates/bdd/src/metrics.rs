@@ -454,4 +454,19 @@ mod tests {
             other => panic!("expected cancellation, got {other:?}"),
         }
     }
+
+    #[test]
+    fn query_timeout_bounds_a_word_max_build() {
+        // A 12-bit multiplier pair blows a 1 M-node budget only after
+        // hundreds of milliseconds; the per-call timeout must stop the
+        // build long before that.
+        let golden = generators::array_multiplier(12).to_aig();
+        let cand = approx::truncated_multiplier(12, 4).to_aig();
+        let miter = abs_diff_word_miter(&golden, &cand);
+        let ctl = ResourceCtl::unlimited().with_query_timeout(std::time::Duration::from_millis(1));
+        match exact_word_max(&miter, 1, true, 1_000_000, &ctl) {
+            Err(BuildBddError::Interrupted(Interrupt::Deadline)) => {}
+            other => panic!("expected a deadline interruption, got {other:?}"),
+        }
+    }
 }

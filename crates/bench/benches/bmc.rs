@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the BMC layer: incremental frame cost,
-//! and the per-cycle scan vs single disjunctive query ablation (design
-//! decision #4 in DESIGN.md).
+//! the per-cycle scan up to a depth, and counterexamples at increasing
+//! depth.
 
 use axmc_circuit::{approx, generators};
 use axmc_mc::{Bmc, BmcResult, Unroller};
@@ -31,8 +31,8 @@ fn bench_frame_encoding(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-cycle scan (k+1 queries) vs one disjunctive query, UNSAT case.
-fn bench_scan_vs_disjunction(c: &mut Criterion) {
+/// Per-cycle scan (k+1 queries), UNSAT case.
+fn bench_clear_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("bmc/clear_up_to_6");
     let width = 8;
     // Threshold above the reachable error at this depth: all queries UNSAT.
@@ -41,12 +41,6 @@ fn bench_scan_vs_disjunction(c: &mut Criterion) {
         b.iter(|| {
             let mut bmc = Bmc::new(&miter);
             assert_eq!(bmc.check_up_to(6), Ok(BmcResult::Clear));
-        })
-    });
-    group.bench_function("single_disjunction", |b| {
-        b.iter(|| {
-            let mut bmc = Bmc::new(&miter);
-            assert_eq!(bmc.check_any_up_to(6), Ok(BmcResult::Clear));
         })
     });
     group.finish();
@@ -60,7 +54,7 @@ fn bench_cex_depth(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, &d| {
             b.iter(|| {
                 let mut bmc = Bmc::new(&miter);
-                assert!(matches!(bmc.check_any_up_to(d), Ok(BmcResult::Cex(_))));
+                assert!(matches!(bmc.check_up_to(d), Ok(BmcResult::Cex(_))));
             })
         });
     }
@@ -78,7 +72,7 @@ criterion_group! {
     name = benches;
     config = fast_criterion();
     targets = bench_frame_encoding,
-    bench_scan_vs_disjunction,
+    bench_clear_scan,
     bench_cex_depth
 }
 criterion_main!(benches);

@@ -13,12 +13,11 @@
 //! provenance-of-reuse).
 
 use axmc_bench::{banner, jobs_from_env, timed, PhaseLog, Scale};
-use axmc_characterize::MemoryCache;
 use axmc_characterize::{builtin_library, characterize, MetricSelection, SweepOptions};
-use axmc_core::{AnalysisOptions, Backend, CacheHandle};
+use axmc_core::{AnalysisOptions, Backend, CacheHandle, ResultCache};
 use std::sync::Arc;
 
-fn base_options(cache: &Arc<MemoryCache>) -> AnalysisOptions {
+fn base_options(cache: &Arc<ResultCache>) -> AnalysisOptions {
     AnalysisOptions::new()
         .with_backend(Backend::Auto)
         .with_cache(CacheHandle::new(cache.clone()))
@@ -73,7 +72,7 @@ fn main() {
         let mut serial_baseline = None;
         for jobs in [1usize, fanout] {
             phases.phase(&format!("{}/j{jobs}", row.label));
-            let cache = Arc::new(MemoryCache::new());
+            let cache = Arc::new(ResultCache::new());
             let mut options = SweepOptions::new(base_options(&cache), jobs);
             options.metrics = row.metrics;
             let (cold, cold_ms) =

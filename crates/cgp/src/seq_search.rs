@@ -3,8 +3,9 @@
 //! The plain search ([`crate::evolve`]) bounds the candidate component's
 //! own worst-case error. This variant bounds the error of the *sequential
 //! system the component is embedded in*: every accepted candidate carries
-//! a BMC certificate that the full design's output error stays within the
-//! threshold for all input sequences up to the horizon. Masking inside
+//! a proof, by `SeqAnalyzer::check_error_exceeds`, that the full design's
+//! output error stays within the threshold for all input sequences up to
+//! the horizon. Masking inside
 //! the system is thereby exploited automatically — a component can be
 //! much sloppier (and smaller) when the surrounding design hides most of
 //! its error.
@@ -12,7 +13,7 @@
 //! Resource governance mirrors the combinational loop: the shared
 //! [`SearchOptions::ctl`](crate::SearchOptions) stops the run at the next
 //! generation boundary (anytime, best-so-far) and is observed inside
-//! every BMC verification call; candidates whose verification it cuts
+//! every verification probe; candidates whose verification it cuts
 //! short are skipped, never turned into an abort.
 
 use crate::chromosome::Chromosome;
@@ -21,12 +22,10 @@ use crate::search::{
 };
 use axmc_aig::Aig;
 use axmc_circuit::Netlist;
-use axmc_core::AnalysisError;
-use axmc_mc::{Bmc, BmcOptions, BmcResult};
-use axmc_miter::sequential_diff_miter;
+use axmc_core::{AnalysisError, AnalysisOptions, SeqAnalyzer, Verdict};
 use axmc_rand::rngs::StdRng;
 use axmc_rand::SeedableRng;
-use axmc_sat::Budget;
+use axmc_sat::{Budget, Interrupt};
 use std::time::Instant;
 
 /// The sequential embedding a candidate is judged in.
@@ -36,26 +35,26 @@ pub struct SequentialContext<'a> {
     /// component (the templates in `axmc-seq` all qualify). `Sync`
     /// because the verifier fleet calls it from worker threads.
     pub build: &'a (dyn Fn(&Netlist) -> Aig + Sync),
-    /// BMC horizon: the error bound is certified for all input sequences
+    /// Horizon: the error bound is certified for all input sequences
     /// of up to `horizon + 1` cycles.
     pub horizon: usize,
-    /// Budget per BMC verification call (budget exhaustion rejects the
+    /// Budget per verification probe (budget exhaustion rejects the
     /// candidate, as in the combinational loop).
     pub budget: Budget,
 }
 
 /// Runs the verifiability-driven search with **system-level** acceptance:
-/// a candidate component is accepted only when BMC proves the embedded
-/// system's worst-case output error within `options.threshold` up to the
-/// context's horizon.
+/// a candidate component is accepted only when a threshold probe proves
+/// the embedded system's worst-case output error within
+/// `options.threshold` up to the context's horizon.
 ///
 /// `options.verifier` is ignored (verification is defined by `context`);
-/// `options.ctl` and `options.certify` apply to the BMC calls.
+/// `options.ctl` and `options.certify` apply to the probes.
 ///
 /// # Errors
 ///
 /// Returns [`AnalysisError::CertificateRejected`] when certified mode is
-/// on and a BMC acceptance certificate fails validation. Resource
+/// on and an acceptance certificate fails validation. Resource
 /// exhaustion is *not* an error: it ends the run early with the best
 /// verified circuit (see [`SearchStats::interrupt`]).
 ///
@@ -177,8 +176,8 @@ pub fn evolve_in_context(
     })
 }
 
-/// One candidate's system-level acceptance check: BMC on the sequential
-/// difference miter, under the run's shared resource control plus the
+/// One candidate's system-level acceptance check: one threshold probe of
+/// the system pair, under the run's shared resource control plus the
 /// context's per-call budget.
 fn verify_in_context(
     golden_system: &Aig,
@@ -188,20 +187,19 @@ fn verify_in_context(
 ) -> Result<CandidateVerdict, AnalysisError> {
     let _span = axmc_obs::span("cgp.verify.time_us");
     let system = (context.build)(netlist);
-    let miter = sequential_diff_miter(golden_system, &system, options.threshold);
-    let bmc_options = BmcOptions::new()
+    let analysis = AnalysisOptions::new()
         .with_ctl(options.ctl.clone().with_budget(context.budget))
         .with_certify(options.certify);
-    let mut bmc = Bmc::with_options(&miter, &bmc_options);
-    match bmc.check_any_up_to(context.horizon) {
-        Ok(BmcResult::Clear) => Ok(CandidateVerdict::WithinBound),
-        Ok(BmcResult::Cex(_)) => Ok(CandidateVerdict::Violation),
-        Ok(BmcResult::Unknown(reason)) => Ok(CandidateVerdict::ResourceLimit(reason)),
-        Err(e) => Err(AnalysisError::CertificateRejected {
-            engine: "cgp".to_string(),
-            detail: format!("system-level BMC acceptance check failed validation ({e})"),
-        }),
-    }
+    let verdict = SeqAnalyzer::new(golden_system, &system)
+        .with_options(analysis)
+        .check_error_exceeds(options.threshold, context.horizon)?;
+    Ok(match verdict {
+        Verdict::Proved => CandidateVerdict::WithinBound,
+        Verdict::Refuted { .. } => CandidateVerdict::Violation,
+        Verdict::Interrupted { best_so_far } => {
+            CandidateVerdict::ResourceLimit(best_so_far.reason.unwrap_or(Interrupt::Conflicts))
+        }
+    })
 }
 
 #[cfg(test)]
@@ -209,7 +207,7 @@ mod tests {
     use super::*;
     use axmc_circuit::generators;
     use axmc_mc::Trace;
-    use axmc_sat::{Interrupt, ResourceCtl};
+    use axmc_sat::ResourceCtl;
     use std::time::Duration;
 
     fn options(threshold: u128, generations: u64) -> SearchOptions {

@@ -46,100 +46,3 @@ pub use sweep::{
     MetricSelection, SweepOptions,
 };
 pub use table::{Entry, Table, SCHEMA};
-
-use axmc_core::{CachedResult, QueryCache, QueryKey};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// A simple in-process [`QueryCache`]: a mutex-guarded map with hit and
-/// miss counters. One sweep's repeated queries over structurally
-/// identical cones (the library's duplicated sub-structures, the
-/// threshold probes of the search) hit this instead of the solvers;
-/// hand it to the analyzers through `AnalysisOptions::with_cache`.
-#[derive(Default)]
-pub struct MemoryCache {
-    map: Mutex<HashMap<QueryKey, CachedResult>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl MemoryCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        MemoryCache::default()
-    }
-
-    /// Lookups answered from the map.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that fell through to computation.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of stored results.
-    pub fn len(&self) -> usize {
-        self.map.lock().expect("cache poisoned").len()
-    }
-
-    /// Whether the cache holds no results.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl QueryCache for MemoryCache {
-    fn get(&self, key: &QueryKey) -> Option<CachedResult> {
-        let hit = self.map.lock().expect("cache poisoned").get(key).cloned();
-        match hit {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn put(&self, key: &QueryKey, value: CachedResult) {
-        self.map
-            .lock()
-            .expect("cache poisoned")
-            .insert(key.clone(), value);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use axmc_core::{AnalysisOptions, Backend, CacheHandle, CombAnalyzer};
-    use std::sync::Arc;
-
-    #[test]
-    fn memory_cache_serves_repeat_queries() {
-        let cache = Arc::new(MemoryCache::new());
-        let golden = axmc_circuit::generators::ripple_carry_adder(4).to_aig();
-        let cand = axmc_circuit::approx::truncated_adder(4, 2).to_aig();
-        let opts = AnalysisOptions::new()
-            .with_backend(Backend::Sat)
-            .with_cache(CacheHandle::new(cache.clone()));
-        let cold = CombAnalyzer::new(&golden, &cand)
-            .with_options(opts.clone())
-            .worst_case_error()
-            .unwrap();
-        assert!(!cache.is_empty(), "completed verdicts are stored");
-        let stored = cache.len();
-        let warm = CombAnalyzer::new(&golden, &cand)
-            .with_options(opts)
-            .worst_case_error()
-            .unwrap();
-        assert_eq!(cold.value, warm.value);
-        assert_eq!(cache.len(), stored, "warm run adds nothing");
-        assert!(cache.hits() > 0, "warm run hit the cache");
-    }
-}

@@ -10,17 +10,15 @@
 //! all happen near the true value instead of in the middle of the huge
 //! output range.
 //!
-//! Probes answer with a [`Verdict<u128>`]: `Refuted { witness }` raises
-//! the lower bound, `Proved` lowers the upper bound, and `Interrupted`
-//! (budget/deadline/cancel) is *skipped* — the search keeps refining with
-//! the answers it got and only gives up when an entire round is
-//! interrupted, at which point it reports the **current tightest**
-//! certified interval `[lo, hi]` as the anytime result. A hard error
-//! (`Err`, e.g. a rejected certificate) aborts the search immediately.
+//! Probes are asked one at a time and answer with a [`Verdict<u128>`]:
+//! `Refuted { witness }` raises the lower bound, `Proved` lowers the
+//! upper bound, and `Interrupted` (budget/deadline/cancel) ends the
+//! search with the **current tightest** certified interval `[lo, hi]` as
+//! the anytime result. A hard error (`Err`, e.g. a rejected certificate)
+//! aborts the search immediately.
 
 use crate::report::{AnalysisError, Partial};
 use crate::verdict::Verdict;
-use axmc_sat::Interrupt;
 
 /// Saturates a (possibly 128-bit) error value into a traceable `u64`.
 fn sat_u64(v: u128) -> u64 {
@@ -58,23 +56,17 @@ fn clamp_witness(t: u128, e: u128, max: u128) -> u128 {
     e.max(t.saturating_add(1)).min(max)
 }
 
-/// Finds the exact maximum error in `[0, max]` given a probe oracle.
+/// Finds the exact maximum error in `[0, max]` given a probe oracle,
+/// counting each probe on from `iter`'s current value, so that several
+/// windows can make up one query that [`record_search`] then records
+/// once.
 ///
-/// `probe_batch(ts)` must answer, for every threshold `t` in `ts`,
-/// whether the error can exceed `t`, returning the witnessed error on
-/// the exceeding (`Refuted`) side. Each round hands the oracle up to
-/// `batch` speculative thresholds at once (`0` is treated as `1`); with
-/// `batch = 1` it is the plain serial probe sequence.
-///
-/// Every answer is authoritative for its own threshold — a `Refuted`
-/// raises the lower bound, a `Proved` lowers the upper bound — so the
-/// merged interval does not depend on which speculative probe "wins".
-/// A probe may individually be interrupted (its budget or deadline ran
-/// out). Interrupted probes are skipped as long as at least one probe in
-/// the round answered: an exhausted speculative worker never discards a
-/// successful sibling's answer. Only a round with *zero* answers gives
-/// up, reporting the tightest certified interval reached so far. A hard
-/// `Err` (certificate rejection) aborts the whole search at once.
+/// `probe(t)` must answer whether the error can exceed `t`, returning
+/// the witnessed error on the exceeding (`Refuted`) side. A `Refuted`
+/// raises the lower bound, a `Proved` lowers the upper bound. An
+/// interrupted probe (its budget or deadline ran out) ends the search
+/// with the tightest certified interval reached so far, and a hard `Err`
+/// (certificate rejection) aborts it at once.
 ///
 /// `window = Some((lo, hi))` asserts that `lo` is a *witnessed*
 /// (achievable) error value and `hi` a sound upper bound, both clamped
@@ -84,35 +76,17 @@ fn clamp_witness(t: u128, e: u128, max: u128) -> u128 {
 /// (`lo == hi`) returns the exact value with **zero** probes.
 /// `window = None` searches the full range.
 ///
-/// `label` names the search in metrics and trace events (e.g.
-/// `"seq.wce"`); with tracing active, every probe emits its candidate
-/// bound, verdict and refinement interval.
-pub(crate) fn search_max_error(
-    label: &str,
-    max: u128,
-    window: Option<(u128, u128)>,
-    batch: usize,
-    probe_batch: impl FnMut(&[u128]) -> Vec<Result<Verdict<u128>, AnalysisError>>,
-) -> Result<u128, AnalysisError> {
-    let mut probes = 0;
-    let value = search_window(label, max, window, batch, probe_batch, &mut probes);
-    record_search(label, probes, &value);
-    value
-}
-
-/// [`search_max_error`] without its metrics: `iter` counts the probes on
-/// from its current value, so that several windows can make up one query
-/// that [`record_search`] then records once.
+/// `label` names the search in trace events (e.g. `"seq.wce"`); with
+/// tracing active, every probe emits its candidate bound, verdict and
+/// refinement interval.
 pub(crate) fn search_window(
     label: &str,
     max: u128,
     window: Option<(u128, u128)>,
-    batch: usize,
-    mut probe_batch: impl FnMut(&[u128]) -> Vec<Result<Verdict<u128>, AnalysisError>>,
+    mut probe: impl FnMut(u128) -> Result<Verdict<u128>, AnalysisError>,
     iter: &mut u64,
 ) -> Result<u128, AnalysisError> {
-    let batch = batch.max(1);
-    let (seed_lo, seed_hi) = match window {
+    let (seed_lo, mut hi) = match window {
         Some((lo, hi)) => {
             debug_assert!(lo <= hi, "seed window {lo}..{hi} is inverted");
             (lo.min(max), hi.min(max).max(lo.min(max)))
@@ -120,159 +94,99 @@ pub(crate) fn search_window(
         None => (0, max),
     };
     let tracing = axmc_obs::tracing_active();
-
-    // Applies one round of answers to the interval `[lo, hi]`. Returns
-    // `Err` when no probe in the round produced an answer (anytime
-    // payload = current interval) or when any probe failed hard.
-    let merge_round = |phase: &str,
-                       thresholds: &[u128],
-                       answers: Vec<Result<Verdict<u128>, AnalysisError>>,
-                       lo: &mut u128,
-                       hi: &mut u128,
-                       iter: &mut u64|
-     -> Result<bool, AnalysisError> {
-        assert_eq!(
-            answers.len(),
-            thresholds.len(),
-            "oracle must answer every probed threshold"
-        );
-        let mut saw_proved = false;
-        let mut first_interrupt: Option<Option<Interrupt>> = None;
-        let mut any_ok = false;
-        for (&t, ans) in thresholds.iter().zip(answers) {
-            *iter += 1;
-            match ans {
-                Ok(Verdict::Refuted { witness }) => {
-                    any_ok = true;
-                    *lo = (*lo).max(clamp_witness(t, witness, max));
-                    if tracing {
-                        trace_probe(label, *iter, phase, t, "exceeds", *lo, *hi);
-                    }
+    // A degenerate certified window pins the value with zero probes.
+    if seed_lo >= hi {
+        if tracing {
+            trace_probe(label, *iter, "seed", seed_lo, "exact", seed_lo, hi);
+        }
+        return Ok(seed_lo.min(hi));
+    }
+    let mut lo = if seed_lo > 0 {
+        // The window's lower bound is already witnessed: skip the
+        // initial probe at zero and gallop straight from it.
+        if tracing {
+            trace_probe(label, *iter, "seed", seed_lo, "window", seed_lo, hi);
+        }
+        seed_lo
+    } else {
+        // First probe at zero: a fully accurate candidate exits
+        // immediately.
+        *iter += 1;
+        match probe(0)? {
+            Verdict::Proved => {
+                if tracing {
+                    trace_probe(label, *iter, "init", 0, "within", 0, 0);
                 }
-                Ok(Verdict::Proved) => {
-                    any_ok = true;
-                    saw_proved = true;
-                    *hi = (*hi).min(t);
-                    if tracing {
-                        trace_probe(label, *iter, phase, t, "within", *lo, *hi);
-                    }
+                return Ok(0);
+            }
+            Verdict::Refuted { witness } => {
+                let w = clamp_witness(0, witness, max.max(1)).min(hi);
+                if tracing {
+                    trace_probe(label, *iter, "init", 0, "exceeds", w, hi);
                 }
-                Ok(Verdict::Interrupted { best_so_far }) => {
-                    if tracing {
-                        trace_probe(label, *iter, phase, t, "interrupted", *lo, *hi);
-                    }
-                    first_interrupt.get_or_insert(best_so_far.reason);
+                w
+            }
+            Verdict::Interrupted { best_so_far } => {
+                if tracing {
+                    trace_probe(label, *iter, "init", 0, "interrupted", 0, hi);
                 }
-                Err(e) => return Err(e),
+                return Err(AnalysisError::Interrupted(Partial {
+                    reason: best_so_far.reason,
+                    known_low: 0,
+                    known_high: hi,
+                    completed_bound: None,
+                }));
             }
         }
-        if !any_ok {
-            let reason = first_interrupt.expect("merge_round called with an empty batch");
-            return Err(AnalysisError::Interrupted(Partial {
-                reason,
-                known_low: *lo,
-                known_high: *hi,
-                completed_bound: None,
-            }));
+    };
+    // Applies one answer to the interval `[lo, hi]`; `Ok(true)` when it
+    // proved its threshold.
+    let mut ask = |phase: &str, t: u128, lo: &mut u128, hi: &mut u128| {
+        *iter += 1;
+        let proved = match probe(t)? {
+            Verdict::Refuted { witness } => {
+                *lo = (*lo).max(clamp_witness(t, witness, max));
+                false
+            }
+            Verdict::Proved => {
+                *hi = (*hi).min(t);
+                true
+            }
+            Verdict::Interrupted { best_so_far } => {
+                if tracing {
+                    trace_probe(label, *iter, phase, t, "interrupted", *lo, *hi);
+                }
+                return Err(AnalysisError::Interrupted(Partial {
+                    reason: best_so_far.reason,
+                    known_low: *lo,
+                    known_high: *hi,
+                    completed_bound: None,
+                }));
+            }
+        };
+        if tracing {
+            let verdict = if proved { "within" } else { "exceeds" };
+            trace_probe(label, *iter, phase, t, verdict, *lo, *hi);
         }
         // A consistent oracle never crosses the bounds; an adversarial
         // one is clamped so the search still terminates.
         debug_assert!(*lo <= *hi, "probe answers crossed: lo {lo} > hi {hi}");
         *lo = (*lo).min(*hi);
-        Ok(saw_proved)
+        Ok(proved)
     };
-
-    let mut result = || -> Result<u128, AnalysisError> {
-        let mut hi = seed_hi;
-        // A degenerate certified window pins the value with zero probes.
-        if seed_lo >= hi {
-            if tracing {
-                trace_probe(label, *iter, "seed", seed_lo, "exact", seed_lo, hi);
-            }
-            return Ok(seed_lo.min(hi));
+    // Galloping phase: double the threshold until the first Proved.
+    while lo < hi {
+        let t = lo.saturating_mul(2).min(max);
+        if t >= hi || ask("gallop", t, &mut lo, &mut hi)? {
+            break;
         }
-        let mut lo = if seed_lo > 0 {
-            // The window's lower bound is already witnessed: skip the
-            // initial probe at zero and gallop straight from it.
-            if tracing {
-                trace_probe(label, *iter, "seed", seed_lo, "window", seed_lo, hi);
-            }
-            seed_lo
-        } else {
-            // First probe at zero: a fully accurate candidate exits
-            // immediately.
-            *iter += 1;
-            let first = probe_batch(&[0])
-                .into_iter()
-                .next()
-                .expect("oracle must answer the initial threshold")?;
-            match first {
-                Verdict::Proved => {
-                    if tracing {
-                        trace_probe(label, *iter, "init", 0, "within", 0, 0);
-                    }
-                    return Ok(0);
-                }
-                Verdict::Refuted { witness } => {
-                    let w = clamp_witness(0, witness, max.max(1)).min(hi);
-                    if tracing {
-                        trace_probe(label, *iter, "init", 0, "exceeds", w, hi);
-                    }
-                    w
-                }
-                Verdict::Interrupted { best_so_far } => {
-                    if tracing {
-                        trace_probe(label, *iter, "init", 0, "interrupted", 0, hi);
-                    }
-                    return Err(AnalysisError::Interrupted(Partial {
-                        reason: best_so_far.reason,
-                        known_low: 0,
-                        known_high: hi,
-                        completed_bound: None,
-                    }));
-                }
-            }
-        };
-        if lo >= hi {
-            return Ok(lo.min(hi));
-        }
-        // Galloping phase: a geometric ladder of up to `batch`
-        // speculative thresholds per round, until the first Proved.
-        while lo < hi {
-            let mut ladder = Vec::with_capacity(batch);
-            let mut t = lo.saturating_mul(2).min(max);
-            while ladder.len() < batch && t < hi {
-                ladder.push(t);
-                let next = t.saturating_mul(2).min(max);
-                if next == t {
-                    break;
-                }
-                t = next;
-            }
-            if ladder.is_empty() {
-                break;
-            }
-            let answers = probe_batch(&ladder);
-            if merge_round("gallop", &ladder, answers, &mut lo, &mut hi, iter)? {
-                break;
-            }
-        }
-        // Bisection phase: evenly spaced speculative midpoints. When the
-        // remaining span fits in one batch, probe every point and finish.
-        while lo < hi {
-            let span = hi - lo;
-            let points: Vec<u128> = if span <= batch as u128 {
-                (lo..hi).collect()
-            } else {
-                let step = span / (batch as u128 + 1);
-                (1..=batch as u128).map(|j| lo + step * j).collect()
-            };
-            let answers = probe_batch(&points);
-            merge_round("bisect", &points, answers, &mut lo, &mut hi, iter)?;
-        }
-        Ok(lo)
-    };
-    result()
+    }
+    // Bisection phase.
+    while lo < hi {
+        let t = lo + (hi - lo) / 2;
+        ask("bisect", t, &mut lo, &mut hi)?;
+    }
+    Ok(lo)
 }
 
 /// Records one finished query: the `core.searches` counter, its probe
@@ -302,17 +216,20 @@ pub(crate) fn record_search(label: &str, probes: u64, value: &Result<u128, Analy
     }
 }
 
-/// Lifts a one-threshold probe to the batch shape [`search_max_error`]
-/// takes, answering a round's thresholds one after another.
-pub(crate) fn each(
-    mut probe: impl FnMut(u128) -> Result<Verdict<u128>, AnalysisError>,
-) -> impl FnMut(&[u128]) -> Vec<Result<Verdict<u128>, AnalysisError>> {
-    move |ts| ts.iter().map(|&t| probe(t)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axmc_sat::Interrupt;
+
+    /// One whole search, its probes counted from zero.
+    fn search_max_error(
+        label: &str,
+        max: u128,
+        window: Option<(u128, u128)>,
+        probe: impl FnMut(u128) -> Result<Verdict<u128>, AnalysisError>,
+    ) -> Result<u128, AnalysisError> {
+        search_window(label, max, window, probe, &mut 0)
+    }
 
     fn exceeds(witness: u128) -> Result<Verdict<u128>, AnalysisError> {
         Ok(Verdict::Refuted { witness })
@@ -354,12 +271,12 @@ mod tests {
         for wce in [0u128, 1, 2, 5, 7, 100, 255, 4095, 65535] {
             let max = 65535;
             assert_eq!(
-                search_max_error("test", max, None, 1, each(oracle(wce))).unwrap(),
+                search_max_error("test", max, None, oracle(wce)).unwrap(),
                 wce,
                 "{wce}"
             );
             assert_eq!(
-                search_max_error("test", max, None, 1, each(weak_oracle(wce))).unwrap(),
+                search_max_error("test", max, None, weak_oracle(wce)).unwrap(),
                 wce,
                 "{wce}"
             );
@@ -369,11 +286,11 @@ mod tests {
     #[test]
     fn value_at_max() {
         assert_eq!(
-            search_max_error("test", 255, None, 1, each(oracle(255))).unwrap(),
+            search_max_error("test", 255, None, oracle(255)).unwrap(),
             255
         );
         assert_eq!(
-            search_max_error("test", 255, None, 1, each(weak_oracle(255))).unwrap(),
+            search_max_error("test", 255, None, weak_oracle(255)).unwrap(),
             255
         );
     }
@@ -389,16 +306,13 @@ mod tests {
             count += 1;
             oracle(t)
         };
-        assert_eq!(
-            search_max_error("test", max, None, 1, each(counted)).unwrap(),
-            wce
-        );
+        assert_eq!(search_max_error("test", max, None, counted).unwrap(), wce);
         assert!(count <= 10, "took {count} probes");
     }
 
     #[test]
     fn interruptions_propagate() {
-        let result = search_max_error("test", 100, None, 1, each(|_| interrupted()));
+        let result = search_max_error("test", 100, None, |_| interrupted());
         match result {
             Err(AnalysisError::Interrupted(p)) => {
                 assert_eq!(p.reason, Some(Interrupt::Conflicts));
@@ -411,58 +325,22 @@ mod tests {
     #[test]
     fn hard_errors_abort_immediately() {
         let mut probes = 0u32;
-        let result = search_max_error(
-            "test",
-            100,
-            None,
-            1,
-            each(|t| {
-                probes += 1;
-                if t == 0 {
-                    exceeds(10)
-                } else {
-                    Err(AnalysisError::CertificateRejected {
-                        engine: "test".to_string(),
-                        detail: "bad proof".to_string(),
-                    })
-                }
-            }),
-        );
+        let result = search_max_error("test", 100, None, |t| {
+            probes += 1;
+            if t == 0 {
+                exceeds(10)
+            } else {
+                Err(AnalysisError::CertificateRejected {
+                    engine: "test".to_string(),
+                    detail: "bad proof".to_string(),
+                })
+            }
+        });
         assert!(matches!(
             result,
             Err(AnalysisError::CertificateRejected { .. })
         ));
         assert_eq!(probes, 2, "the rejection must abort the search at once");
-    }
-
-    fn batch_oracle(
-        true_wce: u128,
-    ) -> impl FnMut(&[u128]) -> Vec<Result<Verdict<u128>, AnalysisError>> {
-        move |ts| {
-            ts.iter()
-                .map(|&t| {
-                    if true_wce > t {
-                        exceeds(true_wce)
-                    } else {
-                        within()
-                    }
-                })
-                .collect()
-        }
-    }
-
-    #[test]
-    fn batched_finds_exact_value_for_every_batch_size() {
-        for batch in [1usize, 2, 3, 5, 8] {
-            for wce in [0u128, 1, 2, 5, 7, 100, 255, 4095, 65535] {
-                let max = 65535;
-                assert_eq!(
-                    search_max_error("test", max, None, batch, batch_oracle(wce)).unwrap(),
-                    wce,
-                    "batch {batch}, wce {wce}"
-                );
-            }
-        }
     }
 
     /// The classic serial search written out directly: one probe at 0,
@@ -502,23 +380,21 @@ mod tests {
         seq
     }
 
-    /// The thresholds [`search_max_error`] probes with `batch = 1`.
+    /// The thresholds [`search_window`] probes.
     fn batch_one_ladder(
         max: u128,
-        probe: impl FnMut(u128) -> Result<Verdict<u128>, AnalysisError>,
+        mut probe: impl FnMut(u128) -> Result<Verdict<u128>, AnalysisError>,
     ) -> Vec<u128> {
         let mut seq = Vec::new();
-        let mut probe = each(probe);
-        search_max_error("test", max, None, 1, |ts| {
-            seq.extend_from_slice(ts);
-            probe(ts)
+        search_max_error("test", max, None, |t| {
+            seq.push(t);
+            probe(t)
         })
         .unwrap();
         seq
     }
 
-    /// `batch = 1` must degenerate to exactly the serial probe sequence:
-    /// `--jobs 1` and the pre-portfolio code path are the same search.
+    /// The search must probe exactly the classic serial sequence.
     #[test]
     fn batch_one_probes_identical_thresholds_to_serial() {
         for wce in [0u128, 3, 17, 100, 254, 255] {
@@ -548,32 +424,20 @@ mod tests {
             let max = 65535u128;
             let mut unseeded_probes = 0u32;
             let mut o1 = oracle(wce);
-            let unseeded = search_max_error(
-                "test",
-                max,
-                None,
-                1,
-                each(|t| {
-                    unseeded_probes += 1;
-                    o1(t)
-                }),
-            )
+            let unseeded = search_max_error("test", max, None, |t| {
+                unseeded_probes += 1;
+                o1(t)
+            })
             .unwrap();
             // A realistic static window: witnessed lower bound below the
             // true value, sound upper bound above it.
             let window = (wce / 2 + 1, (wce * 2).min(max));
             let mut seeded_probes = 0u32;
             let mut o2 = oracle(wce);
-            let seeded = search_max_error(
-                "test",
-                max,
-                Some(window),
-                1,
-                each(|t| {
-                    seeded_probes += 1;
-                    o2(t)
-                }),
-            )
+            let seeded = search_max_error("test", max, Some(window), |t| {
+                seeded_probes += 1;
+                o2(t)
+            })
             .unwrap();
             assert_eq!(unseeded, wce);
             assert_eq!(seeded, wce, "window must not change the result");
@@ -587,13 +451,9 @@ mod tests {
     /// A degenerate window (`lo == hi`) is an exact value: zero probes.
     #[test]
     fn exact_window_needs_no_probes() {
-        let result = search_max_error(
-            "test",
-            255,
-            Some((42, 42)),
-            1,
-            each(|_| panic!("no probe may be issued for an exact window")),
-        )
+        let result = search_max_error("test", 255, Some((42, 42)), |_| {
+            panic!("no probe may be issued for an exact window")
+        })
         .unwrap();
         assert_eq!(result, 42);
     }
@@ -606,29 +466,17 @@ mod tests {
             let max = 255;
             let mut plain_seq = Vec::new();
             let mut o1 = oracle(wce);
-            search_max_error(
-                "test",
-                max,
-                None,
-                1,
-                each(|t| {
-                    plain_seq.push(t);
-                    o1(t)
-                }),
-            )
+            search_max_error("test", max, None, |t| {
+                plain_seq.push(t);
+                o1(t)
+            })
             .unwrap();
             let mut full_seq = Vec::new();
             let mut o2 = oracle(wce);
-            search_max_error(
-                "test",
-                max,
-                Some((0, max)),
-                1,
-                each(|t| {
-                    full_seq.push(t);
-                    o2(t)
-                }),
-            )
+            search_max_error("test", max, Some((0, max)), |t| {
+                full_seq.push(t);
+                o2(t)
+            })
             .unwrap();
             assert_eq!(plain_seq, full_seq, "wce {wce}");
         }
@@ -639,17 +487,13 @@ mod tests {
     #[test]
     fn window_clamps_and_bounds_partial_intervals() {
         assert_eq!(
-            search_max_error(
-                "test",
-                100,
-                Some((300, 400)),
-                1,
-                each(|_| panic!("clamped to exact"))
-            )
+            search_max_error("test", 100, Some((300, 400)), |_| panic!(
+                "clamped to exact"
+            ))
             .unwrap(),
             100
         );
-        let result = search_max_error("test", 1000, Some((10, 500)), 1, each(|_| interrupted()));
+        let result = search_max_error("test", 1000, Some((10, 500)), |_| interrupted());
         match result {
             Err(AnalysisError::Interrupted(p)) => {
                 assert_eq!(p.known_low, 10);
@@ -668,19 +512,13 @@ mod tests {
     fn adversarial_witness_above_max_is_clamped() {
         let wce = 200u128;
         let max = 255u128;
-        let result = search_max_error(
-            "test",
-            max,
-            None,
-            1,
-            each(|t| {
-                if wce > t {
-                    exceeds(u128::MAX) // wildly out of contract
-                } else {
-                    within()
-                }
-            }),
-        )
+        let result = search_max_error("test", max, None, |t| {
+            if wce > t {
+                exceeds(u128::MAX) // wildly out of contract
+            } else {
+                within()
+            }
+        })
         .unwrap();
         assert!(result <= max);
         assert!(result >= wce, "clamped witness still drives lo past wce");
@@ -694,24 +532,18 @@ mod tests {
         let wce = 50u128;
         let max = 255u128;
         let mut probes = 0u32;
-        let result = search_max_error(
-            "test",
-            max,
-            None,
-            1,
-            each(|t| {
-                probes += 1;
-                assert!(
-                    probes < 1000,
-                    "stale witnesses must not livelock the search"
-                );
-                if wce > t {
-                    exceeds(1) // stale: at most the very first witness
-                } else {
-                    within()
-                }
-            }),
-        )
+        let result = search_max_error("test", max, None, |t| {
+            probes += 1;
+            assert!(
+                probes < 1000,
+                "stale witnesses must not livelock the search"
+            );
+            if wce > t {
+                exceeds(1) // stale: at most the very first witness
+            } else {
+                within()
+            }
+        })
         .unwrap();
         assert_eq!(result, wce);
     }
@@ -722,77 +554,41 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "out of contract")]
     fn adversarial_witness_above_max_asserts_in_debug() {
-        let _ = search_max_error("test", 255, None, 1, each(|_| exceeds(u128::MAX)));
+        let _ = search_max_error("test", 255, None, |_| exceeds(u128::MAX));
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "out of contract")]
     fn adversarial_stale_witness_asserts_in_debug() {
-        let _ = search_max_error(
-            "test",
-            255,
-            None,
-            1,
-            each(|t| if t < 50 { exceeds(1) } else { within() }),
-        );
+        let _ = search_max_error("test", 255, None, |t| {
+            if t < 50 {
+                exceeds(1)
+            } else {
+                within()
+            }
+        });
     }
 
     // -- satellite: deterministic handling of per-probe interrupts -----
 
-    /// An interrupted probe in a portfolio round must not discard a
-    /// sibling's successful answer: the search keeps refining with the
-    /// answers it got.
+    /// An interrupted probe ends the search with the tightest interval
+    /// certified so far, not the trivial one.
     #[test]
-    fn interrupted_probe_does_not_drop_sibling_answers() {
-        let wce = 1000u128;
+    fn interrupted_probe_reports_the_tightest_interval() {
         let max = 65535u128;
-        let mut skipped = 0u32;
-        let mut answered = 0u32;
-        let result = search_max_error("test", max, None, 4, |ts| {
-            ts.iter()
-                .enumerate()
-                .map(|(lane, &t)| {
-                    // The second lane of the portfolio always runs out of
-                    // budget; its siblings' answers must carry the round.
-                    if lane == 1 {
-                        skipped += 1;
-                        return interrupted();
-                    }
-                    answered += 1;
-                    if wce > t {
-                        exceeds(wce)
-                    } else {
-                        within()
-                    }
-                })
-                .collect()
-        })
-        .unwrap();
-        assert_eq!(result, wce);
-        assert!(
-            skipped > 0,
-            "test must actually exercise interrupted probes"
-        );
-        assert!(answered > 0);
-    }
-
-    /// Only a round where *every* probe is interrupted gives up — and the
-    /// anytime payload carries the tightest interval certified so far,
-    /// not the trivial one.
-    #[test]
-    fn fully_interrupted_round_reports_the_tightest_interval() {
-        let max = 65535u128;
-        let result = search_max_error("test", max, None, 4, |ts| {
-            ts.iter()
-                .map(|&t| if t == 0 { exceeds(7) } else { interrupted() })
-                .collect()
+        let result = search_max_error("test", max, None, |t| {
+            if t == 0 {
+                exceeds(7)
+            } else {
+                interrupted()
+            }
         });
         match result {
             Err(AnalysisError::Interrupted(p)) => {
-                // The init probe witnessed 7 before the gallop round
-                // [14, 28, 56, 112] was starved: the interval must
-                // remember that certified lower bound.
+                // The initial probe witnessed 7 before the gallop probe
+                // at 14 was starved: the interval must remember that
+                // certified lower bound.
                 assert_eq!(p.known_low, 7);
                 assert_eq!(p.known_high, max);
                 assert_eq!(p.reason, Some(Interrupt::Conflicts));

@@ -20,6 +20,9 @@
 //! Only completed verdicts are cached. Interrupted results (deadline,
 //! budget, cancellation) depend on the resource envelope of the run that
 //! produced them and are recomputed every time.
+//!
+//! [`ResultCache`] is the one in-tree implementation: the cache behind
+//! `axmc serve`, `axmc characterize` and the characterization bench.
 
 use crate::engine::Backend;
 use crate::options::AnalysisOptions;
@@ -27,8 +30,10 @@ use crate::report::{AnalysisError, ErrorReport};
 use crate::verdict::Verdict;
 use axmc_aig::Aig;
 use axmc_mc::Trace;
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Metric-kind discriminants used in [`QueryKey::metric`]. Shared
 /// constants so out-of-crate cache consumers (the serve layer) build
@@ -150,6 +155,74 @@ impl fmt::Debug for CacheHandle {
     }
 }
 
+/// A shared, counting in-memory [`QueryCache`]: a mutex-guarded map with
+/// hit and miss counters.
+///
+/// Wrap it in an `Arc` and hand it to the analyzers through
+/// [`CacheHandle::new`] / [`AnalysisOptions::with_cache`]; the same `Arc`
+/// answers the caller's own pre-checks ([`ResultCache::peek`]) and its
+/// statistics.
+#[derive(Default)]
+pub struct ResultCache {
+    map: Mutex<HashMap<QueryKey, CachedResult>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl ResultCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        ResultCache::default()
+    }
+
+    /// Whether `key` is currently cached, **without** counting a hit or
+    /// a miss: a caller can tag a result as cached before the analyzer
+    /// performs its own (counting) lookup.
+    pub fn peek(&self, key: &QueryKey) -> bool {
+        self.map.lock().expect("cache poisoned").contains_key(key)
+    }
+
+    /// Lookups answered from the cache so far.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Lookups that had to compute so far.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Number of stored entries.
+    pub fn len(&self) -> usize {
+        self.map.lock().expect("cache poisoned").len()
+    }
+
+    /// True when no entry is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl QueryCache for ResultCache {
+    fn get(&self, key: &QueryKey) -> Option<CachedResult> {
+        let found = self.map.lock().expect("cache poisoned").get(key).cloned();
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    fn put(&self, key: &QueryKey, value: CachedResult) {
+        self.map
+            .lock()
+            .expect("cache poisoned")
+            .insert(key.clone(), value);
+    }
+}
+
 /// Runs `compute` through the options' cache, if any: a hit whose shape
 /// `unwrap` accepts short-circuits without touching a solver; on a miss
 /// the computed result is stored when `wrap` deems it cacheable (`None`
@@ -180,9 +253,6 @@ pub(crate) fn cached<T>(
 mod tests {
     use super::*;
     use crate::engine::EngineKind;
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
 
     #[derive(Default)]
     struct MapCache {
@@ -306,6 +376,30 @@ mod tests {
             0,
             "interrupted verdicts must not be cached"
         );
+    }
+
+    #[test]
+    fn result_cache_counts_hits_and_misses_but_peek_is_free() {
+        let (g, c) = pair();
+        let cache = ResultCache::new();
+        let k = QueryKey::new(&g, &c, metric::COMB_WCE, &AnalysisOptions::new());
+        assert!(!cache.peek(&k));
+        assert_eq!(cache.get(&k), None);
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        cache.put(
+            &k,
+            CachedResult::Wide(ErrorReport {
+                value: 3,
+                sat_calls: 1,
+                conflicts: 0,
+                engine: EngineKind::Sat,
+            }),
+        );
+        assert!(cache.peek(&k), "peek sees the entry");
+        assert_eq!((cache.hits(), cache.misses()), (0, 1), "peek never counts");
+        assert!(cache.get(&k).is_some());
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -71,9 +71,10 @@ mod engine;
 mod options;
 mod report;
 mod seq;
+mod threshold;
 mod verdict;
 
-pub use crate::cache::{CacheHandle, CachedResult, QueryCache, QueryKey};
+pub use crate::cache::{CacheHandle, CachedResult, QueryCache, QueryKey, ResultCache};
 pub use crate::comb::{
     exhaustive_stats, sampled_stats, CombAnalyzer, ErrorInputCount, ExhaustiveStats, SampledStats,
 };

@@ -20,13 +20,11 @@ pub struct AnalysisOptions {
     /// RUP/DRAT checker and replay every counterexample. Rejections
     /// surface as `AnalysisError::CertificateRejected`.
     pub certify: bool,
-    /// Worker threads for the analyses that fan out independent solver
-    /// work: with `jobs >= 2` the `Auto` backend races its two engines on
-    /// concurrent workers instead of staging them, and the total-error
-    /// and error-cycle searches probe up to `jobs` thresholds per round,
-    /// each on its own fresh engine. `0` is treated as `1` (serial). The
-    /// WCE, bit-flip and profile searches always run serially on one warm
-    /// engine, so their reports do not depend on `jobs`.
+    /// Worker threads for the combinational `Auto` backend: with
+    /// `jobs >= 2` it races its two engines on concurrent workers instead
+    /// of staging them. `0` is treated as `1` (serial). Every other
+    /// search runs serially on one warm engine, so no sequential report
+    /// depends on `jobs`.
     pub jobs: usize,
     /// Which analysis backend the combinational metrics use (SAT, BDD,
     /// or the racing `Auto` portfolio). See `docs/backends.md`.
@@ -38,13 +36,6 @@ pub struct AnalysisOptions {
     /// before any solver work (see [`crate::cache`]). `None` (the
     /// default) computes every query.
     pub cache: Option<CacheHandle>,
-    /// Initial `[lo, hi]` window for the threshold bound searches, for
-    /// callers that already hold certified bounds (the static tier, a
-    /// previous interrupted run, a profile pass). `lo` must be a
-    /// *witnessed* (achievable) error value and `hi` a sound upper
-    /// bound; the search then skips probes outside the window. `None`
-    /// (the default) searches the full `[0, 2^w - 1]` range.
-    pub search_window: Option<(u128, u128)>,
     /// Consult the static tier (ternary abstract interpretation +
     /// concrete probing) before launching solvers under
     /// [`Backend::Auto`]. On by default; disable to reproduce the
@@ -66,7 +57,6 @@ impl Default for AnalysisOptions {
             backend: Backend::default(),
             bdd_node_limit: DEFAULT_BDD_NODE_LIMIT,
             cache: None,
-            search_window: None,
             static_tier: true,
             inprocess: false,
         }
@@ -143,14 +133,6 @@ impl AnalysisOptions {
         self
     }
 
-    /// Seeds the threshold bound searches with a certified `[lo, hi]`
-    /// window (`lo` witnessed, `hi` sound; `lo <= hi` required).
-    pub fn with_search_window(mut self, lo: u128, hi: u128) -> Self {
-        assert!(lo <= hi, "search window {lo}..{hi} is inverted");
-        self.search_window = Some((lo, hi));
-        self
-    }
-
     /// Enables or disables the static pre-analysis tier under
     /// [`Backend::Auto`].
     pub fn with_static_tier(mut self, on: bool) -> Self {
@@ -208,19 +190,11 @@ mod tests {
     }
 
     #[test]
-    fn search_window_and_static_tier_builders() {
+    fn static_tier_builder() {
         let opts = AnalysisOptions::new();
-        assert_eq!(opts.search_window, None);
         assert!(opts.static_tier, "static tier is on by default");
-        let opts = opts.with_search_window(3, 17).with_static_tier(false);
-        assert_eq!(opts.search_window, Some((3, 17)));
+        let opts = opts.with_static_tier(false);
         assert!(!opts.static_tier);
-    }
-
-    #[test]
-    #[should_panic(expected = "inverted")]
-    fn inverted_search_window_panics() {
-        let _ = AnalysisOptions::new().with_search_window(5, 2);
     }
 
     #[test]

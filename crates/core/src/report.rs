@@ -21,6 +21,18 @@ pub struct ErrorReport<T> {
     pub engine: EngineKind,
 }
 
+impl<T> ErrorReport<T> {
+    /// The same report over `f(value)`.
+    pub(crate) fn map<U>(self, f: impl FnOnce(T) -> U) -> ErrorReport<U> {
+        ErrorReport {
+            value: f(self.value),
+            sat_calls: self.sat_calls,
+            conflicts: self.conflicts,
+            engine: self.engine,
+        }
+    }
+}
+
 /// How an average-case metric was obtained.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AverageMethod {

@@ -27,21 +27,15 @@
 //! [`AnalysisError::Interrupted`] (or an `Interrupted` [`Verdict`]) whose
 //! payload carries the tightest certified bounds reached so far.
 //!
-//! # Threshold probes
+//! # Threshold searches
 //!
-//! The threshold probes, and the WCE, bit-flip and profile queries the
-//! expansion route below does not answer, each run on **one** warm
-//! engine: the product machine is unrolled into one incremental solver,
-//! and a probe "can the per-cycle word exceed `t` in any cycle `<= h`?"
-//! asks the frames one at a time, first frame first, each under the
-//! single assumption `exceeds_f(t)`. A satisfiable frame ends the probe
-//! with a witnessing trace. An unsatisfiable one proves `word_f <= t`;
-//! the engine keeps `¬exceeds_f(t)` as a derived root unit, so the
-//! bound is propagated while the next frame is asked, and remembers it,
-//! so a later probe at any `t' >= t` skips the frame without a solve.
-//! Asking the frames in order is what makes this cheap: one solve over
-//! the OR of all k+1 comparators must refute every frame in a single
-//! search and cannot use frame f's bound while working on frame f+1.
+//! Every threshold probe and every SAT search here — WCE, bit-flip,
+//! profile, total error and error cycles — runs on one warm
+//! [`ThresholdEngine`](crate::threshold) over a word form of its miter:
+//! the product machine is unrolled into one incremental solver, and a
+//! probe "can the per-cycle word exceed `t` in any cycle `<= h`?" asks
+//! the frames one at a time, first frame first, keeping each proven
+//! frame bound as a derived unit.
 //!
 //! The searches are **frame-major**: they settle the horizons
 //! `h = 0, 1, …, k` in order, each by a galloping search that starts from
@@ -53,6 +47,8 @@
 //! one loose bound (twice the first witness) on every frame at once, and
 //! frame `f` never sees a tight bound on frame `f - 1`. WCE@k and
 //! bit-flip@k are the last horizon's value; the profile is the sequence.
+//! The running total and the erroneous-cycle count never fall, so their
+//! value at `k` is their maximum over the cycles `<= k`.
 //!
 //! Probes and the earliest-error scan never go past the miter's
 //! **sequential depth** `D` ([`Aig::sequential_depth`], measured on the
@@ -61,9 +57,19 @@
 //! frames past `min(k, D)` are never encoded or asked. A refuting probe
 //! pads its trace to `k + 1` cycles with all-false inputs.
 //!
-//! Searches are serial, so a report (value, probes, conflicts) is the
-//! same for every `jobs` value; `jobs` still fans out the total-error
-//! and error-cycle searches, whose probes each build a fresh engine.
+//! Searches are serial, so every report (value, probes, conflicts) is the
+//! same for every `jobs` value.
+//!
+//! # The static screen
+//!
+//! Each word query builds its miter once, compacts it and, with the
+//! static tier on, runs one ternary fixpoint over it. The fixpoint gives
+//! both the word's interval over every reachable cycle and the sweep the
+//! engine unrolls. A signed difference word is decided only when it is
+//! all zero; an unsigned word (popcount, running total, cycle count) is
+//! decided when its interval is a point, and otherwise seeds the search
+//! window. Under [`Backend::Static`] an undecided query returns the
+//! interval and no engine runs.
 //!
 //! # Feed-forward pairs: the expansion route
 //!
@@ -95,333 +101,31 @@
 //! error and every feedback pair stay on SAT: with no depth bound the
 //! expansion grows with `k`, and its BDD with it.
 
-use crate::bound_search::{each, record_search, search_max_error, search_window};
 use crate::cache::{cached, metric, CachedResult, QueryKey};
-use crate::comb::{bdd_report, static_report};
+use crate::comb::{bdd_report, static_report, word_max};
 use crate::engine::{Backend, EngineKind};
 use crate::options::AnalysisOptions;
 use crate::report::{AnalysisError, ErrorProfile, ErrorReport, Partial};
+use crate::threshold::{ThresholdEngine, WordKind};
 use crate::verdict::Verdict;
-use axmc_aig::{bits_to_u128, Aig, Simulator, Word};
+use axmc_aig::{bits_to_u128, Aig, Simulator};
 use axmc_bdd::BuildBddError;
-use axmc_cnf::gates;
-use axmc_mc::{
-    prove_invariant, Bmc, BmcOptions, BmcResult, InductionOptions, ProofResult, Trace, Unroller,
-};
+use axmc_mc::{prove_invariant, Bmc, BmcOptions, BmcResult, InductionOptions, ProofResult, Trace};
 use axmc_miter::{
     accumulated_error_miter, error_cycle_count_miter, sequential_diff_miter,
     sequential_diff_word_miter, sequential_popcount_word_miter, sequential_strict_miter,
 };
-use axmc_sat::{Budget, Certificate, Interrupt, Lit, ResourceCtl, SolveResult};
-use std::sync::atomic::{AtomicU64, Ordering};
+use axmc_sat::{Certificate, ResourceCtl};
 
-/// How one persistent threshold probe interprets the miter's output word.
-#[derive(Clone, Copy)]
-enum WordKind {
-    /// Two's-complement difference (sign bit last): probe `|diff| > t`.
-    SignedDiff,
-    /// Unsigned magnitude (popcount): probe `word > t`.
-    Unsigned,
-}
-
-/// A persistent incremental engine for threshold probes over a BMC
-/// unrolling: the product machine is encoded **once**; every frame a
-/// probe asks adds a small comparator at the clause level and solves
-/// under one assumption, so learnt clauses and proven per-frame bounds
-/// amortize across the entire search (see the module docs).
-struct ThresholdEngine {
-    unroller: Unroller,
-    kind: WordKind,
-    /// The unrolled miter's sequential depth: no probe encodes or asks a
-    /// frame past it. `None` when the outputs' cone has a latch cycle.
-    depth: Option<usize>,
-    /// Per frame, the smallest `t` for which `word_f <= t` is proved and
-    /// held as the derived unit `¬exceeds_f(t)`; a probe at any
-    /// threshold `>= t` skips the frame. In certified mode only bounds
-    /// a DRAT check has already covered are entered here.
-    proved: Vec<Option<u128>>,
-    /// Certified mode: `(frame, t)` bounds proved since the last DRAT
-    /// check. The next check replays their derived clauses and moves
-    /// them into `proved`.
-    unchecked: Vec<(usize, u128)>,
-    /// Solver calls issued by probes.
-    frame_solves: u64,
-    /// Frames answered from a proven bound instead of a solve.
-    frames_reused: u64,
-    /// DRAT checks run (certified mode).
-    checks: u64,
-}
-
-impl ThresholdEngine {
-    fn new(miter: Aig, kind: WordKind, options: &AnalysisOptions) -> Self {
-        let miter = miter.compact();
-        // With the static tier on, the product machine is additionally
-        // swept by the ternary fixpoint before encoding: an
-        // equisatisfiable interface-preserving reduction, so every probe
-        // verdict is unchanged while each BMC frame encodes fewer gates.
-        // Its frozen latches are constants, so the depth is measured on
-        // the reduced form.
-        let mut unroller = if options.static_tier {
-            Unroller::new_reduced(miter).0
-        } else {
-            Unroller::new(miter)
-        };
-        unroller.configure(&options.solver_config());
-        let depth = unroller.aig().sequential_depth();
-        ThresholdEngine {
-            unroller,
-            kind,
-            depth,
-            proved: Vec::new(),
-            unchecked: Vec::new(),
-            frame_solves: 0,
-            frames_reused: 0,
-            checks: 0,
-        }
-    }
-
-    /// The last frame a query at horizon `k` has to ask.
-    fn last_frame(&self, k: usize) -> usize {
-        self.depth.map_or(k, |d| d.min(k))
-    }
-
-    /// Can the per-cycle word exceed `threshold` in any cycle `<= k`?
-    ///
-    /// The frames up to `min(k, depth)` are asked first to last, and a
-    /// witnessing trace is padded to `k + 1` cycles with all-false
-    /// inputs. The solver's resource control governs the whole probe:
-    /// each frame's solve gets the conflict and propagation budget the
-    /// earlier frames left, and the per-call timeout runs from the start
-    /// of the probe. In certified mode a probe that solved at least one
-    /// frame ends `Proved` only after one DRAT check, which covers every
-    /// frame's derived bound.
-    fn probe(&mut self, threshold: u128, k: usize) -> Result<Verdict<Trace>, AnalysisError> {
-        let last = self.last_frame(k);
-        if last < k && axmc_obs::enabled() {
-            axmc_obs::counter("seq.probe.frames_past_depth").add((k - last) as u64);
-        }
-        self.unroller.extend_to(last + 1);
-        if self.proved.len() <= last {
-            self.proved.resize(last + 1, None);
-        }
-        let base = self.unroller.solver().ctl().clone();
-        let verdict = self.probe_frames(threshold, last, &base);
-        self.set_ctl(base);
-        let width = self.unroller.aig().num_inputs();
-        Ok(verdict?.map(|mut trace| {
-            trace.inputs.resize(k + 1, vec![false; width]);
-            trace
-        }))
-    }
-
-    fn probe_frames(
-        &mut self,
-        threshold: u128,
-        k: usize,
-        base: &ResourceCtl,
-    ) -> Result<Verdict<Trace>, AnalysisError> {
-        let start = *self.unroller.solver().stats();
-        let deadline = base.call_deadline();
-        let mut solved = false;
-        for frame in 0..=k {
-            if self.proved[frame].is_some_and(|bound| bound <= threshold) {
-                self.frames_reused += 1;
-                if axmc_obs::enabled() {
-                    axmc_obs::counter("seq.probe.frames_reused").inc();
-                }
-                continue;
-            }
-            let spent = *self.unroller.solver().stats();
-            let budget = match remaining_budget(
-                base.budget(),
-                spent.conflicts - start.conflicts,
-                spent.propagations - start.propagations,
-            ) {
-                Ok(budget) => budget,
-                Err(reason) => return Ok(interrupted(reason)),
-            };
-            let mut ctl = base.clone().with_budget(budget);
-            if let Some(deadline) = deadline {
-                ctl = ctl.with_deadline(deadline);
-            }
-            self.set_ctl(ctl);
-            let flag = self.exceeds(frame, threshold);
-            self.frame_solves += 1;
-            if axmc_obs::enabled() {
-                axmc_obs::counter("seq.probe.frame_solves").inc();
-            }
-            let solver = self.unroller.solver_mut();
-            match solver.solve_with_assumptions(&[flag]) {
-                SolveResult::Sat => {
-                    return Ok(Verdict::Refuted {
-                        witness: self.unroller.extract_trace(k),
-                    })
-                }
-                SolveResult::Unsat => {
-                    solver.add_derived_clause(&[!flag]);
-                    solved = true;
-                    if self.unroller.certify() {
-                        self.unchecked.push((frame, threshold));
-                    } else {
-                        self.proved[frame] = Some(threshold);
-                    }
-                }
-                SolveResult::Unknown => {
-                    return Ok(interrupted(
-                        solver.last_interrupt().unwrap_or(Interrupt::Conflicts),
-                    ))
-                }
-            }
-        }
-        if solved && self.unroller.certify() {
-            self.checks += 1;
-            if let Err(e) = axmc_check::certify_unsat(self.unroller.solver()) {
-                return Err(AnalysisError::CertificateRejected {
-                    engine: "seq".to_string(),
-                    detail: format!(
-                        "UNSAT certificate for a threshold probe (t={threshold}, \
-                         k={k}) failed validation ({e})"
-                    ),
-                });
-            }
-            for (frame, bound) in self.unchecked.drain(..) {
-                let slot = &mut self.proved[frame];
-                *slot = Some(slot.map_or(bound, |b| b.min(bound)));
-            }
-        }
-        Ok(Verdict::Proved)
-    }
-
-    /// The comparator literal `word_frame > threshold`, built fresh over
-    /// the frame's output literals.
-    fn exceeds(&mut self, frame: usize, threshold: u128) -> Lit {
-        let true_lit = self.unroller.true_lit();
-        let word = self.unroller.frame(frame).outputs.clone();
-        let solver = self.unroller.solver_mut();
-        match self.kind {
-            WordKind::SignedDiff => gates::abs_diff_exceeds(solver, &word, threshold, true_lit),
-            WordKind::Unsigned => gates::ugt_const(solver, &word, threshold, true_lit),
-        }
-    }
-
-    /// Replaces the resource control, keeping every other solver knob.
-    fn set_ctl(&mut self, ctl: ResourceCtl) {
-        let config = self.unroller.solver().current_config().with_ctl(ctl);
-        self.unroller.configure(&config);
-    }
-
-    fn conflicts(&self) -> u64 {
-        self.unroller.solver().stats().conflicts
-    }
-
-    /// The expansion route's BDD (see the module docs): the maximum of
-    /// the per-cycle word (of its magnitude, for a signed difference) in
-    /// each of the first `frames` cycles, from one BDD of the unrolled
-    /// miter's `frames`-frame expansion, and the peak node count.
-    fn frame_maxima(
-        &self,
-        frames: usize,
-        interleave: bool,
-        node_limit: usize,
-        ctl: &ResourceCtl,
-    ) -> Result<(Vec<u128>, usize), BuildBddError> {
-        let mut miter = self.unroller.aig().clone();
-        if let WordKind::SignedDiff = self.kind {
-            let abs = Word::from_lits(miter.outputs().to_vec()).abs(&mut miter);
-            miter.set_outputs(abs.into_lits());
-        }
-        let expansion = miter.expand_frames(frames);
-        axmc_bdd::exact_word_max(&expansion, frames, interleave, node_limit, ctl)
-    }
-
-    /// The frame-major search (see the module docs): the exact maximum
-    /// of `metric` over the cycles `<= h` for every horizon `h = 0..=k`,
-    /// and the probes the query issued; it counts as one search in the
-    /// metrics. The horizons up to `min(k, depth)` are searched in order;
-    /// later ones repeat the value at the depth.
-    ///
-    /// `window` is a `(floor, ceiling)` pair that holds in every cycle:
-    /// the floor witnessed, the ceiling sound, both clamped to `max`.
-    /// Horizon `h` searches from the larger of the floor and the value
-    /// at `h - 1`.
-    ///
-    /// # Errors
-    ///
-    /// An interrupted horizon reports its witnessed floor, and a ceiling
-    /// that holds for every cycle `<= k`: its own bracket only at the
-    /// last horizon, `window`'s ceiling before it.
-    fn search(
-        &mut self,
-        label: &str,
-        k: usize,
-        max: u128,
-        window: (u128, u128),
-        metric: impl Fn(&Trace) -> u128,
-    ) -> Result<(Vec<u128>, u64), AnalysisError> {
-        let last = self.last_frame(k);
-        let ceiling = window.1.min(max);
-        let mut probes = 0;
-        let mut floor = window.0.min(ceiling);
-        let mut result = Ok(floor);
-        let mut values = Vec::with_capacity(k + 1);
-        for h in 0..=last {
-            // The last horizon's probes ask about every cycle `<= k`; the
-            // probe itself stops at the depth.
-            let horizon = if h == last { k } else { h };
-            result = search_window(
-                label,
-                max,
-                Some((floor, ceiling)),
-                1,
-                each(|t| Ok(self.probe(t, horizon)?.map(|trace| metric(&trace)))),
-                &mut probes,
-            );
-            match &mut result {
-                Ok(value) => {
-                    floor = *value;
-                    values.push(floor);
-                }
-                Err(AnalysisError::Interrupted(partial)) if h < last => {
-                    partial.known_high = ceiling;
-                    break;
-                }
-                Err(_) => break,
-            }
-        }
-        record_search(label, probes, &result);
-        result?;
-        values.resize(k + 1, floor);
-        Ok((values, probes))
-    }
-}
-
-/// What is left of a probe's `budget` after its earlier frames spent
-/// `conflicts` and `propagations`, or the limit that ran out.
-fn remaining_budget(
-    budget: Budget,
-    conflicts: u64,
-    propagations: u64,
-) -> Result<Budget, Interrupt> {
-    let mut left = Budget::unlimited();
-    if let Some(max) = budget.max_conflicts() {
-        if conflicts >= max {
-            return Err(Interrupt::Conflicts);
-        }
-        left = left.with_conflicts(max - conflicts);
-    }
-    if let Some(max) = budget.max_propagations() {
-        if propagations >= max {
-            return Err(Interrupt::Propagations);
-        }
-        left = left.with_propagations(max - propagations);
-    }
-    Ok(left)
-}
-
-fn interrupted(reason: Interrupt) -> Verdict<Trace> {
-    Verdict::Interrupted {
-        best_so_far: Partial::trivial(reason),
-    }
+/// What the static screen leaves of a sequential word query (see the
+/// module docs).
+enum Screen {
+    /// The word is pinned to this value in every reachable cycle.
+    Decided(u128),
+    /// An engine has to run over `miter` (compacted, and swept when the
+    /// static tier is on), within `window`: a witnessed floor and a
+    /// sound ceiling that hold in every cycle.
+    Open { miter: Aig, window: (u128, u128) },
 }
 
 /// The result of the earliest-error analysis.
@@ -494,49 +198,91 @@ impl<'a> SeqAnalyzer<'a> {
 
     /// The largest `|error|` the output word can show.
     fn word_max(&self) -> u128 {
-        let m = self.golden.num_outputs();
-        if m >= 128 {
-            u128::MAX
-        } else {
-            (1u128 << m) - 1
-        }
+        word_max(self.golden.num_outputs())
     }
 
-    /// Certified `[lo, hi]` interval on a sequential miter's unsigned
-    /// output word over **every** reachable cycle, from the converged
-    /// ternary fixpoint (latch values over-approximated from reset).
-    /// `None` when the word is too wide to bound. The bits proven
-    /// constant hold in all reachable states, so `lo` is attained in
-    /// every cycle of every run and `hi` is a sound ceiling at any
-    /// horizon.
-    fn static_word_interval(miter: &Aig) -> Option<(u128, u128)> {
-        axmc_absint::TernaryAnalysis::fixpoint(miter).output_interval(miter)
-    }
-
-    /// The static tier over the difference word, for the queries that
-    /// read it: `Ok(true)` when the word is statically zero in every
-    /// reachable cycle, which decides the query; `Ok(false)` when an
-    /// engine has to run. Under [`Backend::Static`], which launches no
-    /// engine, an undecided query gets `Err` with the `|error|` interval
-    /// `[0, word_max]` and no interrupt reason.
-    fn screen_diff_word(&self) -> Result<bool, Partial> {
+    /// The static screen of one word query (see the module docs): the
+    /// word of `miter` is read as `kind` and is at most `max`.
+    ///
+    /// # Errors
+    ///
+    /// Under [`Backend::Static`], which launches no engine, an undecided
+    /// query gets the word's interval with no interrupt reason.
+    fn screen(&self, miter: Aig, kind: WordKind, max: u128) -> Result<Screen, Partial> {
+        let miter = miter.compact();
         if !self.static_tier_active() {
-            return Ok(false);
+            return Ok(Screen::Open {
+                miter,
+                window: (0, max),
+            });
         }
-        let miter = sequential_diff_word_miter(self.golden, self.approx);
-        if Self::static_word_interval(&miter) == Some((0, 0)) {
+        let analysis = axmc_absint::TernaryAnalysis::fixpoint(&miter);
+        // The bits proven constant hold in every reachable state, so the
+        // word is at least the floor and at most the ceiling in every
+        // cycle of every run. A signed word's unsigned interval bounds
+        // nothing but the all-zero word.
+        let window = match (kind, analysis.output_interval(&miter)) {
+            (WordKind::SignedDiff, Some((0, 0))) => (0, 0),
+            (WordKind::Unsigned, Some((lo, hi))) => (lo.min(max), hi.min(max)),
+            _ => (0, max),
+        };
+        if window.0 == window.1 {
             axmc_obs::counter("absint.decided").inc();
-            return Ok(true);
+            return Ok(Screen::Decided(window.0));
         }
         if self.options.backend == Backend::Static {
             return Err(Partial {
                 reason: None,
-                known_low: 0,
-                known_high: self.word_max(),
+                known_low: window.0,
+                known_high: window.1,
                 completed_bound: None,
             });
         }
-        Ok(false)
+        let (miter, _) = axmc_absint::sweep_with(&miter, &analysis);
+        Ok(Screen::Open { miter, window })
+    }
+
+    /// The static screen of the signed difference word.
+    fn diff_screen(&self) -> Result<Screen, Partial> {
+        self.screen(
+            sequential_diff_word_miter(self.golden, self.approx),
+            WordKind::SignedDiff,
+            self.word_max(),
+        )
+    }
+
+    /// One word query: the maximum of `miter`'s word (read as `kind`, at
+    /// most `max`) over the cycles `<= h` for every `h = 0..=k`, and the
+    /// effort behind it. The static screen runs first; then the
+    /// expansion route, which takes only feed-forward miters; then the
+    /// frame-major SAT search, whose witnesses `metric` replays.
+    fn word_query(
+        &self,
+        label: &str,
+        miter: Aig,
+        kind: WordKind,
+        k: usize,
+        max: u128,
+        metric: impl Fn(&Trace) -> u128,
+    ) -> Result<ErrorReport<Vec<u128>>, AnalysisError> {
+        let (miter, window) = match self
+            .screen(miter, kind, max)
+            .map_err(AnalysisError::Interrupted)?
+        {
+            Screen::Decided(value) => return Ok(static_report(vec![value; k + 1])),
+            Screen::Open { miter, window } => (miter, window),
+        };
+        let mut engine = ThresholdEngine::new(miter, kind, &self.options);
+        if let Some(profile) = self.bdd_profile(&engine, k, max, &self.options.ctl)? {
+            return Ok(bdd_report(profile));
+        }
+        let (values, sat_calls) = engine.search(label, k, max, window, metric)?;
+        Ok(ErrorReport {
+            value: values,
+            sat_calls,
+            conflicts: engine.conflicts(),
+            engine: EngineKind::Sat,
+        })
     }
 
     /// The expansion route's order rule (see the module docs): interleave
@@ -616,15 +362,43 @@ impl<'a> SeqAnalyzer<'a> {
     /// Finds the earliest cycle (up to `max_cycles - 1`) in which the two
     /// circuits' outputs can differ.
     ///
+    /// Under [`Backend::Static`] no engine runs: only a strict miter the
+    /// static screen pins decides the query.
+    ///
     /// # Errors
     ///
     /// [`AnalysisError::Interrupted`] if a BMC query is stopped by a
     /// resource limit before a verdict; `completed_bound` in the payload
-    /// is the number of leading cycles already certified clear.
+    /// is the number of leading cycles already certified clear. Under
+    /// [`Backend::Static`] an undecided query has no interrupt reason.
     /// [`AnalysisError::CertificateRejected`] on a rejected certificate
     /// in certified mode.
     pub fn earliest_error(&self, max_cycles: usize) -> Result<EarliestError, AnalysisError> {
         let miter = sequential_strict_miter(self.golden, self.approx);
+        if self.options.backend == Backend::Static {
+            // No engine runs: the screen decides a strict miter it pins.
+            return match self.screen(miter, WordKind::Unsigned, 1) {
+                Ok(Screen::Decided(0)) => Ok(EarliestError {
+                    cycle: None,
+                    trace: None,
+                    sat_calls: 0,
+                }),
+                // The outputs differ in every reachable cycle, so in cycle
+                // 0 under any input.
+                Ok(Screen::Decided(_)) => Ok(EarliestError {
+                    cycle: Some(0),
+                    trace: Some(Trace {
+                        inputs: vec![vec![false; self.golden.num_inputs()]],
+                    }),
+                    sat_calls: 0,
+                }),
+                Ok(Screen::Open { .. }) => unreachable!("Backend::Static runs no engine"),
+                Err(partial) => Err(AnalysisError::Interrupted(Partial {
+                    completed_bound: Some(0),
+                    ..partial
+                })),
+            };
+        }
         // Cycles past the sequential depth reach no new output values, so
         // an error that shows up at all shows up by then.
         let cycles = miter
@@ -715,15 +489,14 @@ impl<'a> SeqAnalyzer<'a> {
                 Verdict::Interrupted { .. } => None,
                 done => Some(CachedResult::SeqVerdict(done.clone())),
             },
-            || {
-                match self.screen_diff_word() {
-                    // No threshold can be exceeded by a zero word.
-                    Ok(true) => return Ok(Verdict::Proved),
-                    Ok(false) => {}
-                    Err(best_so_far) => return Ok(Verdict::Interrupted { best_so_far }),
+            || match self.diff_screen() {
+                // No threshold can be exceeded by a zero word.
+                Ok(Screen::Decided(_)) => Ok(Verdict::Proved),
+                Ok(Screen::Open { miter, .. }) => {
+                    ThresholdEngine::new(miter, WordKind::SignedDiff, &self.options)
+                        .probe(threshold, k)
                 }
-                let mut engine = self.diff_engine();
-                engine.probe(threshold, k)
+                Err(best_so_far) => Ok(Verdict::Interrupted { best_so_far }),
             },
         )
     }
@@ -740,12 +513,15 @@ impl<'a> SeqAnalyzer<'a> {
         }
     }
 
+    /// An engine over the screened difference word. A session needs one
+    /// even where the screen would decide every probe (a zero word, or
+    /// `Backend::Static`); it then unrolls the compacted miter.
     fn diff_engine(&self) -> ThresholdEngine {
-        ThresholdEngine::new(
-            sequential_diff_word_miter(self.golden, self.approx),
-            WordKind::SignedDiff,
-            &self.options,
-        )
+        let miter = match self.diff_screen() {
+            Ok(Screen::Open { miter, .. }) => miter,
+            _ => sequential_diff_word_miter(self.golden, self.approx).compact(),
+        };
+        ThresholdEngine::new(miter, WordKind::SignedDiff, &self.options)
     }
 
     /// The precise worst-case error over all cycles `<= k`, via the
@@ -770,28 +546,15 @@ impl<'a> SeqAnalyzer<'a> {
             },
             |r| Some(CachedResult::Wide(*r)),
             || {
-                let max = self.word_max();
-                // The diff word is signed, so only the all-bits-zero
-                // ceiling is a certified |error| bound — but that one case
-                // decides the query with no solver at all.
-                if self
-                    .screen_diff_word()
-                    .map_err(AnalysisError::Interrupted)?
-                {
-                    return Ok(static_report(0));
-                }
-                let mut engine = self.diff_engine();
-                if let Some(profile) = self.bdd_profile(&engine, k, max, &self.options.ctl)? {
-                    return Ok(bdd_report(profile[k]));
-                }
-                let (values, sat_calls) =
-                    engine.search("seq.wce", k, max, (0, max), |trace| self.trace_error(trace))?;
-                Ok(ErrorReport {
-                    value: values[k],
-                    sat_calls,
-                    conflicts: engine.conflicts(),
-                    engine: EngineKind::Sat,
-                })
+                let report = self.word_query(
+                    "seq.wce",
+                    sequential_diff_word_miter(self.golden, self.approx),
+                    WordKind::SignedDiff,
+                    k,
+                    self.word_max(),
+                    |trace| self.trace_error(trace),
+                )?;
+                Ok(report.map(|values| values[k]))
             },
         )
     }
@@ -822,50 +585,15 @@ impl<'a> SeqAnalyzer<'a> {
             },
             |r| Some(CachedResult::Narrow(*r)),
             || {
-                let max = self.golden.num_outputs() as u128;
-                let miter = sequential_popcount_word_miter(self.golden, self.approx);
-                let mut window = (0, max);
-                if self.static_tier_active() {
-                    // The popcount word is unsigned, so the full ternary
-                    // interval seeds the search window; a pinned interval
-                    // decides the query outright.
-                    if let Some((lo, hi)) = Self::static_word_interval(&miter) {
-                        if lo == hi {
-                            axmc_obs::counter("absint.decided").inc();
-                            return Ok(static_report(lo as u32));
-                        }
-                        if self.options.backend == Backend::Static {
-                            return Err(AnalysisError::Interrupted(Partial {
-                                reason: None,
-                                known_low: lo,
-                                known_high: hi.min(max),
-                                completed_bound: None,
-                            }));
-                        }
-                        window = (lo, hi);
-                    } else if self.options.backend == Backend::Static {
-                        return Err(AnalysisError::Interrupted(Partial {
-                            reason: None,
-                            known_low: 0,
-                            known_high: max,
-                            completed_bound: None,
-                        }));
-                    }
-                }
-                let mut engine = ThresholdEngine::new(miter, WordKind::Unsigned, &self.options);
-                if let Some(profile) = self.bdd_profile(&engine, k, max, &self.options.ctl)? {
-                    return Ok(bdd_report(profile[k] as u32));
-                }
-                let (values, sat_calls) =
-                    engine.search("seq.bit_flip", k, max, window, |trace| {
-                        self.trace_bit_flips(trace)
-                    })?;
-                Ok(ErrorReport {
-                    value: values[k] as u32,
-                    sat_calls,
-                    conflicts: engine.conflicts(),
-                    engine: EngineKind::Sat,
-                })
+                let report = self.word_query(
+                    "seq.bit_flip",
+                    sequential_popcount_word_miter(self.golden, self.approx),
+                    WordKind::Unsigned,
+                    k,
+                    self.golden.num_outputs() as u128,
+                    |trace| self.trace_bit_flips(trace),
+                )?;
+                Ok(report.map(|values| values[k] as u32))
             },
         )
     }
@@ -881,27 +609,18 @@ impl<'a> SeqAnalyzer<'a> {
     /// [`AnalysisError::Interrupted`] if a resource limit stops any
     /// horizon's search.
     pub fn error_profile(&self, k: usize) -> Result<ErrorProfile, AnalysisError> {
-        let max = self.word_max();
-        if self
-            .screen_diff_word()
-            .map_err(AnalysisError::Interrupted)?
-        {
-            return Ok(ErrorProfile {
-                profile: vec![0; k + 1],
-                sat_calls: 0,
-            });
-        }
-        let mut engine = self.diff_engine();
-        if let Some(profile) = self.bdd_profile(&engine, k, max, &self.options.ctl)? {
-            return Ok(ErrorProfile {
-                profile,
-                sat_calls: 0,
-            });
-        }
-        let (profile, sat_calls) = engine.search("seq.profile", k, max, (0, max), |trace| {
-            self.trace_error(trace)
-        })?;
-        Ok(ErrorProfile { profile, sat_calls })
+        let report = self.word_query(
+            "seq.profile",
+            sequential_diff_word_miter(self.golden, self.approx),
+            WordKind::SignedDiff,
+            k,
+            self.word_max(),
+            |trace| self.trace_error(trace),
+        )?;
+        Ok(ErrorProfile {
+            profile: report.value,
+            sat_calls: report.sat_calls,
+        })
     }
 
     /// Attempts to prove the **unbounded** bound `G (|error| <= threshold)`
@@ -926,11 +645,11 @@ impl<'a> SeqAnalyzer<'a> {
         threshold: u128,
         options: &InductionOptions,
     ) -> Result<Verdict<Trace>, AnalysisError> {
-        match self.screen_diff_word() {
-            Ok(true) => return Ok(Verdict::Proved),
-            Ok(false) => {}
+        let miter = match self.diff_screen() {
+            Ok(Screen::Decided(_)) => return Ok(Verdict::Proved),
+            Ok(Screen::Open { miter, .. }) => miter,
             Err(best_so_far) => return Ok(Verdict::Interrupted { best_so_far }),
-        }
+        };
         let mut options = options.clone();
         if let Some(deadline) = self.options.ctl.deadline() {
             options.ctl = options.ctl.with_deadline(deadline);
@@ -946,7 +665,7 @@ impl<'a> SeqAnalyzer<'a> {
             // D, so the maximum over cycles 0..=D is the all-time worst
             // case. A bound below it falls through: k-induction refutes it
             // in its base case and returns the witness.
-            let engine = self.diff_engine();
+            let engine = ThresholdEngine::new(miter, WordKind::SignedDiff, &self.options);
             if let Some(depth) = engine.depth {
                 match self.bdd_profile(&engine, depth, u128::MAX, &options.ctl) {
                     Ok(Some(profile)) if profile[depth] <= threshold => return Ok(Verdict::Proved),
@@ -981,46 +700,14 @@ impl<'a> SeqAnalyzer<'a> {
         }
     }
 
-    /// One probe of the **total** (accumulated) error: can the sum of the
-    /// per-cycle absolute errors over cycles `<= k` exceed `threshold`?
-    ///
-    /// Uses the general accumulating miter (the paper's Gen/C/G/E/A/D
-    /// scheme) with a saturating `acc_width`-bit running total, checked by
-    /// BMC. Saturation makes a positive answer sound for any horizon.
-    ///
-    /// # Errors
-    ///
-    /// [`AnalysisError::CertificateRejected`] on a rejected certificate
-    /// in certified mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `acc_width` is 0 or exceeds 127.
-    pub fn check_total_error_exceeds(
-        &self,
-        threshold: u128,
-        k: usize,
-        acc_width: usize,
-    ) -> Result<Verdict<Trace>, AnalysisError> {
-        let miter = accumulated_error_miter(self.golden, self.approx, acc_width, threshold);
-        let mut bmc = Bmc::with_options(
-            &miter,
-            &BmcOptions::new().with_solver(self.options.solver_config()),
-        );
-        match bmc.check_any_up_to(k)? {
-            BmcResult::Cex(t) => Ok(Verdict::Refuted { witness: t }),
-            BmcResult::Clear => Ok(Verdict::Proved),
-            BmcResult::Unknown(reason) => Ok(Verdict::Interrupted {
-                best_so_far: Partial::trivial(reason),
-            }),
-        }
-    }
-
     /// The exact **total** error within `k` cycles: the maximum over input
     /// sequences of the *sum* of per-cycle absolute errors.
     ///
-    /// `acc_width` must be wide enough to hold the result; it is checked
-    /// by verifying the final answer is below the saturation point.
+    /// Runs the frame-major search over the general accumulating miter
+    /// (the paper's Gen/C/G/E/A/D scheme), whose word is a saturating
+    /// `acc_width`-bit running total. `acc_width` must be wide enough to
+    /// hold the result; it is checked by verifying the final answer is
+    /// below the saturation point.
     ///
     /// # Errors
     ///
@@ -1028,28 +715,25 @@ impl<'a> SeqAnalyzer<'a> {
     /// search, or — with `reason: None` and `known_low` at the saturation
     /// point — if `acc_width` saturated (the total exceeds its range and
     /// the caller must widen the accumulator).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc_width` is 0 or exceeds 127.
     pub fn total_error_at(
         &self,
         k: usize,
         acc_width: usize,
     ) -> Result<ErrorReport<u128>, AnalysisError> {
         let max = (1u128 << acc_width) - 1;
-        let sat_calls = AtomicU64::new(0);
-        let jobs = self.options.effective_jobs();
-        // Each probe builds its own accumulating miter + BMC instance, so
-        // a round's probes run as a plain parallel map.
-        let value = search_max_error("seq.total", max, None, jobs, |ts| {
-            axmc_par::parallel_map(jobs, ts, |_, &t| {
-                sat_calls.fetch_add(1, Ordering::Relaxed);
-                Ok(self
-                    .check_total_error_exceeds(t, k, acc_width)?
-                    .map(|trace| {
-                        let witnessed = self.trace_total_error(&trace);
-                        witnessed.max(t + 1).min(max)
-                    }))
-            })
-        })?;
-        if value >= max {
+        let report = self.word_query(
+            "seq.total",
+            accumulated_error_miter(self.golden, self.approx, acc_width),
+            WordKind::Unsigned,
+            k,
+            max,
+            |trace| self.trace_total_error(trace).min(max),
+        )?;
+        if report.value[k] >= max {
             // The saturating accumulator cannot distinguish totals at or
             // above its ceiling; the caller must widen it.
             return Err(AnalysisError::Interrupted(Partial {
@@ -1059,12 +743,7 @@ impl<'a> SeqAnalyzer<'a> {
                 completed_bound: None,
             }));
         }
-        Ok(ErrorReport {
-            value,
-            sat_calls: sat_calls.into_inner(),
-            conflicts: 0,
-            engine: EngineKind::Sat,
-        })
+        Ok(report.map(|values| values[k]))
     }
 
     /// Replays a trace on both circuits and returns the **sum** of
@@ -1078,46 +757,11 @@ impl<'a> SeqAnalyzer<'a> {
             .sum()
     }
 
-    /// One probe of the **temporal error rate**: can more than
-    /// `max_bad_cycles` of the first `k + 1` cycles have a per-cycle
-    /// absolute error exceeding `per_cycle_threshold`?
-    ///
-    /// # Errors
-    ///
-    /// [`AnalysisError::CertificateRejected`] on a rejected certificate
-    /// in certified mode.
-    pub fn check_error_cycles_exceed(
-        &self,
-        max_bad_cycles: u128,
-        k: usize,
-        per_cycle_threshold: u128,
-    ) -> Result<Verdict<Trace>, AnalysisError> {
-        // The counter must hold k + 1; one extra bit covers saturation.
-        let count_width = (usize::BITS - (k + 1).leading_zeros()) as usize + 1;
-        let miter = error_cycle_count_miter(
-            self.golden,
-            self.approx,
-            count_width.min(127),
-            max_bad_cycles,
-            per_cycle_threshold,
-        );
-        let mut bmc = Bmc::with_options(
-            &miter,
-            &BmcOptions::new().with_solver(self.options.solver_config()),
-        );
-        match bmc.check_any_up_to(k)? {
-            BmcResult::Cex(t) => Ok(Verdict::Refuted { witness: t }),
-            BmcResult::Clear => Ok(Verdict::Proved),
-            BmcResult::Unknown(reason) => Ok(Verdict::Interrupted {
-                best_so_far: Partial::trivial(reason),
-            }),
-        }
-    }
-
     /// The exact maximum number of erroneous cycles (error above
     /// `per_cycle_threshold`) any input sequence can cause within the
     /// first `k + 1` cycles — the worst-case temporal error rate is this
-    /// value divided by `k + 1`.
+    /// value divided by `k + 1` — by the frame-major search over the
+    /// error-cycle counting miter.
     ///
     /// # Errors
     ///
@@ -1128,35 +772,34 @@ impl<'a> SeqAnalyzer<'a> {
         k: usize,
         per_cycle_threshold: u128,
     ) -> Result<ErrorReport<u32>, AnalysisError> {
-        let sat_calls = AtomicU64::new(0);
-        let max = (k + 1) as u128;
-        let jobs = self.options.effective_jobs();
-        let value = search_max_error("seq.error_cycles", max, None, jobs, |ts| {
-            axmc_par::parallel_map(jobs, ts, |_, &t| {
-                sat_calls.fetch_add(1, Ordering::Relaxed);
-                Ok(self
-                    .check_error_cycles_exceed(t, k, per_cycle_threshold)?
-                    .map(|trace| {
-                        // Count the erroneous cycles the witness actually shows.
-                        let og = trace.replay(self.golden);
-                        let oc = trace.replay(self.approx);
-                        let witnessed = og
-                            .iter()
-                            .zip(&oc)
-                            .filter(|(g, c)| {
-                                bits_to_u128(g).abs_diff(bits_to_u128(c)) > per_cycle_threshold
-                            })
-                            .count() as u128;
-                        witnessed.max(t + 1)
-                    }))
-            })
-        })?;
-        Ok(ErrorReport {
-            value: value as u32,
-            sat_calls: sat_calls.into_inner(),
-            conflicts: 0,
-            engine: EngineKind::Sat,
-        })
+        // The counter must hold k + 1; one extra bit keeps it clear of
+        // saturation.
+        let count_width = (usize::BITS - (k + 1).leading_zeros()) as usize + 1;
+        let miter = error_cycle_count_miter(
+            self.golden,
+            self.approx,
+            count_width.min(127),
+            per_cycle_threshold,
+        );
+        let report = self.word_query(
+            "seq.error_cycles",
+            miter,
+            WordKind::Unsigned,
+            k,
+            (k + 1) as u128,
+            |trace| {
+                // Count the erroneous cycles the witness actually shows.
+                let og = trace.replay(self.golden);
+                let oc = trace.replay(self.approx);
+                og.iter()
+                    .zip(&oc)
+                    .filter(|(g, c)| {
+                        bits_to_u128(g).abs_diff(bits_to_u128(c)) > per_cycle_threshold
+                    })
+                    .count() as u128
+            },
+        )?;
+        Ok(report.map(|values| values[k] as u32))
     }
 
     /// Random-simulation baseline: the largest error observed over
@@ -1270,8 +913,11 @@ mod tests {
     use super::*;
     use crate::report::ErrorGrowth;
     use axmc_circuit::{approx, generators};
-    use axmc_sat::{Budget, CancelToken, ResourceCtl};
+    use axmc_cnf::gates;
+    use axmc_mc::Unroller;
+    use axmc_sat::{Budget, CancelToken, Interrupt, ResourceCtl, SolveResult};
     use axmc_seq::{accumulator, fir_moving_sum, registered_alu};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
     fn induction_options(max_k: usize) -> InductionOptions {
@@ -1542,10 +1188,6 @@ mod tests {
         let b = accumulator(&generators::carry_select_adder(width, 2), width);
         let analyzer = SeqAnalyzer::new(&a, &b);
         assert_eq!(analyzer.total_error_at(3, 8).unwrap().value, 0);
-        assert!(analyzer
-            .check_total_error_exceeds(0, 4, 8)
-            .unwrap()
-            .is_proved());
     }
 
     #[test]
@@ -1569,12 +1211,96 @@ mod tests {
         }
     }
 
+    /// Per-cycle `|G - C|` of every input sequence of `cycles` cycles.
+    fn every_run_errors(golden: &Aig, apx: &Aig, cycles: usize) -> Vec<Vec<u128>> {
+        let n = golden.num_inputs();
+        (0..1u64 << (n * cycles))
+            .map(|bits| {
+                let trace = Trace {
+                    inputs: (0..cycles)
+                        .map(|c| (0..n).map(|i| (bits >> (c * n + i)) & 1 == 1).collect())
+                        .collect(),
+                };
+                let og = trace.replay(golden);
+                let oc = trace.replay(apx);
+                og.iter()
+                    .zip(&oc)
+                    .map(|(g, c)| bits_to_u128(g).abs_diff(bits_to_u128(c)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn total_error_and_error_cycles_match_brute_force() {
+        use generators::ripple_carry_adder as exact;
+        let trunc = |w| approx::truncated_adder(w, 1);
+        let pairs = [
+            (
+                "accumulator2",
+                accumulator(&exact(2), 2),
+                accumulator(&trunc(2), 2),
+            ),
+            (
+                "accumulator3",
+                accumulator(&exact(3), 3),
+                accumulator(&trunc(3), 3),
+            ),
+            (
+                "alu2",
+                registered_alu(&exact(2), 2),
+                registered_alu(&trunc(2), 2),
+            ),
+            (
+                "fir2",
+                fir_moving_sum(&exact(2), 2, 2),
+                fir_moving_sum(&trunc(2), 2, 2),
+            ),
+            (
+                "fir3",
+                fir_moving_sum(&exact(3), 3, 2),
+                fir_moving_sum(&trunc(3), 3, 2),
+            ),
+        ];
+        let options = [
+            ("default", AnalysisOptions::new()),
+            ("certified", AnalysisOptions::new().with_certify(true)),
+            ("no tier", AnalysisOptions::new().with_static_tier(false)),
+        ];
+        for (name, golden, apx) in &pairs {
+            // A cycle's outputs depend only on the inputs up to it, so the
+            // prefixes of the 4-cycle runs are every run of k + 1 cycles.
+            let runs = every_run_errors(golden, apx, 4);
+            let acc_width = golden.num_outputs() + 4;
+            for (tag, options) in &options {
+                let analyzer = SeqAnalyzer::new(golden, apx).with_options(options.clone());
+                for k in 0..=3 {
+                    let total = runs.iter().map(|e| e[..=k].iter().sum::<u128>()).max();
+                    assert_eq!(
+                        Some(analyzer.total_error_at(k, acc_width).unwrap().value),
+                        total,
+                        "{name} ({tag}) total@{k}"
+                    );
+                    for t in [0, 1] {
+                        let cycles = runs
+                            .iter()
+                            .map(|e| e[..=k].iter().filter(|&&x| x > t).count() as u32)
+                            .max();
+                        assert_eq!(
+                            Some(analyzer.max_error_cycles_at(k, t).unwrap().value),
+                            cycles,
+                            "{name} ({tag}) error cycles@{k}, t = {t}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn jobs_values_match_serial_values() {
-        // The WCE and bit-flip searches run on one engine whatever
-        // `jobs` says, so their whole reports are identical; the total
-        // and error-cycle searches merge parallel answers
-        // deterministically, so their values are.
+        // Every sequential search runs on one engine whatever `jobs`
+        // says, so whole reports are identical.
         let width = 4;
         let golden = accumulator(&generators::ripple_carry_adder(width), width);
         let apx = accumulator(&approx::lower_or_adder(width, 2), width);
@@ -1598,13 +1324,13 @@ mod tests {
                 "profile, jobs {jobs}"
             );
             assert_eq!(
-                serial.total_error_at(3, 10).unwrap().value,
-                par.total_error_at(3, 10).unwrap().value,
+                serial.total_error_at(3, 10).unwrap(),
+                par.total_error_at(3, 10).unwrap(),
                 "total, jobs {jobs}"
             );
             assert_eq!(
-                serial.max_error_cycles_at(3, 0).unwrap().value,
-                par.max_error_cycles_at(3, 0).unwrap().value,
+                serial.max_error_cycles_at(3, 0).unwrap(),
+                par.max_error_cycles_at(3, 0).unwrap(),
                 "error cycles, jobs {jobs}"
             );
         }

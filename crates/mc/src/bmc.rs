@@ -7,7 +7,7 @@
 
 use crate::{BmcOptions, CertificateRejected, Trace, Unroller};
 use axmc_aig::Aig;
-use axmc_sat::{Interrupt, Lit as SatLit, ResourceCtl, SolveResult};
+use axmc_sat::{Interrupt, ResourceCtl, SolveResult};
 
 /// Outcome of a bounded check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -61,15 +61,6 @@ pub struct Bmc<'a> {
     /// Kept for API compatibility (traces replay against it).
     aig: &'a Aig,
     unroller: Unroller,
-    /// Activation literals of the `check_any_up_to` disjunctions, indexed
-    /// by depth. A literal is created the first time a depth is queried
-    /// and reused forever after, so any query pattern — including the
-    /// alternating-depth probes the portfolio threshold search produces —
-    /// adds at most one variable and clause per *distinct* depth, never
-    /// per call. Unused activations are simply left unassumed (their
-    /// disjunction clause is vacuously satisfiable), so no retirement
-    /// units are needed.
-    any_activation: Vec<Option<SatLit>>,
 }
 
 impl<'a> Bmc<'a> {
@@ -101,7 +92,6 @@ impl<'a> Bmc<'a> {
         Bmc {
             aig,
             unroller: Unroller::new(aig.clone()),
-            any_activation: Vec::new(),
         }
     }
 
@@ -163,37 +153,31 @@ impl<'a> Bmc<'a> {
 
     /// In certified mode, validates the proof behind the UNSAT answer
     /// just produced by the unroller's solver.
-    fn certify_clear(&self, mode: &str, k: usize) -> Result<(), CertificateRejected> {
+    fn certify_clear(&self, k: usize) -> Result<(), CertificateRejected> {
         if !self.unroller.certify() {
             return Ok(());
         }
         if let Err(e) = axmc_check::certify_unsat(self.unroller.solver()) {
             return Err(CertificateRejected {
                 engine: "bmc".to_string(),
-                detail: format!(
-                    "UNSAT certificate for {mode} query at k={k} failed validation ({e})"
-                ),
+                detail: format!("UNSAT certificate for the query at k={k} failed validation ({e})"),
             });
         }
         Ok(())
     }
 
     /// In certified mode, replays `trace` through AIG simulation and
-    /// checks the property output really is violated where claimed.
-    fn certify_cex(&self, mode: &str, k: usize, trace: &Trace) -> Result<(), CertificateRejected> {
+    /// checks the property output really is violated in cycle `k`.
+    fn certify_cex(&self, k: usize, trace: &Trace) -> Result<(), CertificateRejected> {
         if !self.unroller.certify() {
             return Ok(());
         }
         let outputs = trace.replay(self.aig);
-        let hit = match mode {
-            "at" => outputs.get(k).is_some_and(|cycle| cycle[0]),
-            _ => outputs.iter().take(k + 1).any(|cycle| cycle[0]),
-        };
-        if !hit {
+        if !outputs.get(k).is_some_and(|cycle| cycle[0]) {
             return Err(CertificateRejected {
                 engine: "bmc".to_string(),
                 detail: format!(
-                    "counterexample for {mode} query at k={k} does not replay to a violation"
+                    "counterexample for the query at k={k} does not replay to a violation"
                 ),
             });
         }
@@ -222,16 +206,16 @@ impl<'a> Bmc<'a> {
         let result = match self.unroller.solver_mut().solve_with_assumptions(&[bad]) {
             SolveResult::Sat => {
                 let trace = self.unroller.extract_trace(k);
-                self.certify_cex("at", k, &trace)?;
+                self.certify_cex(k, &trace)?;
                 BmcResult::Cex(trace)
             }
             SolveResult::Unsat => {
-                self.certify_clear("at", k)?;
+                self.certify_clear(k)?;
                 BmcResult::Clear
             }
             SolveResult::Unknown => BmcResult::Unknown(self.last_interrupt()),
         };
-        self.note_check("at", k, &result, timer.finish());
+        self.note_check(k, &result, timer.finish());
         Ok(result)
     }
 
@@ -239,9 +223,7 @@ impl<'a> Bmc<'a> {
     /// scanning cycle by cycle.
     ///
     /// Returns the shortest counterexample if one exists; `Unknown` as soon
-    /// as any per-cycle query is interrupted. Prefer
-    /// [`Bmc::check_any_up_to`] when the violation cycle does not matter —
-    /// it poses a single disjunctive query instead of `k + 1`.
+    /// as any per-cycle query is interrupted.
     ///
     /// # Errors
     ///
@@ -257,57 +239,8 @@ impl<'a> Bmc<'a> {
         Ok(BmcResult::Clear)
     }
 
-    /// Checks whether the output can be 1 in **any** cycle `<= k` with a
-    /// single solver call over the disjunction of the per-frame outputs.
-    ///
-    /// The returned counterexample spans all `k + 1` cycles and is *not*
-    /// necessarily the shortest; replay it to locate the violation.
-    ///
-    /// # Errors
-    ///
-    /// In certified mode, returns [`CertificateRejected`] if the
-    /// validation of a proof or a counterexample fails.
-    pub fn check_any_up_to(&mut self, k: usize) -> Result<BmcResult, CertificateRejected> {
-        let timer = axmc_obs::span("bmc.check.time_us");
-        self.unroller.extend_to(k + 1);
-        // d -> (bad_0 | ... | bad_k); assuming d forces some frame bad.
-        // Activation literals are cached per depth: any revisited depth —
-        // same-depth repeats and alternating-depth probe patterns alike —
-        // reuses its literal with zero solver growth. Unqueried depths'
-        // activations stay unassumed, so their disjunctions never
-        // constrain the instance.
-        if self.any_activation.len() <= k {
-            self.any_activation.resize(k + 1, None);
-        }
-        let d = match self.any_activation[k] {
-            Some(lit) => lit,
-            None => {
-                let d = self.unroller.solver_mut().new_var().positive();
-                let mut clause: Vec<SatLit> = vec![!d];
-                clause.extend((0..=k).map(|i| self.unroller.frame(i).outputs[0]));
-                self.unroller.solver_mut().add_clause(&clause);
-                self.any_activation[k] = Some(d);
-                d
-            }
-        };
-        let result = match self.unroller.solver_mut().solve_with_assumptions(&[d]) {
-            SolveResult::Sat => {
-                let trace = self.unroller.extract_trace(k);
-                self.certify_cex("any_up_to", k, &trace)?;
-                BmcResult::Cex(trace)
-            }
-            SolveResult::Unsat => {
-                self.certify_clear("any_up_to", k)?;
-                BmcResult::Clear
-            }
-            SolveResult::Unknown => BmcResult::Unknown(self.last_interrupt()),
-        };
-        self.note_check("any_up_to", k, &result, timer.finish());
-        Ok(result)
-    }
-
     /// Records metrics and the `bmc.check` trace event for one query.
-    fn note_check(&self, mode: &str, k: usize, result: &BmcResult, time_us: u64) {
+    fn note_check(&self, k: usize, result: &BmcResult, time_us: u64) {
         if !axmc_obs::enabled() {
             return;
         }
@@ -324,7 +257,7 @@ impl<'a> Bmc<'a> {
         if axmc_obs::tracing_active() {
             axmc_obs::emit(
                 axmc_obs::Event::new("bmc.check")
-                    .field("mode", mode)
+                    .field("mode", "at")
                     .field("k", k)
                     .field("result", verdict)
                     .field("time_us", time_us),
@@ -432,58 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn check_any_up_to_does_not_leak_activation_state() {
-        // Regression: every call used to add a fresh activation variable
-        // plus its disjunction clause, growing the solver without bound
-        // on long-lived checkers. Repeated queries at one depth must now
-        // reuse the cached activation (zero growth), and alternating
-        // depths must stay bounded by the retire-and-recreate scheme.
-        let aig = counter_reaches(3);
-        let mut bmc = Bmc::new(&aig);
-        assert!(matches!(bmc.check_any_up_to(4).unwrap(), BmcResult::Cex(_)));
-        let vars_after_first = bmc.num_vars();
-        let clauses_after_first = bmc.num_clauses();
-        for _ in 0..20 {
-            assert!(matches!(bmc.check_any_up_to(4).unwrap(), BmcResult::Cex(_)));
-        }
-        assert_eq!(
-            bmc.num_vars(),
-            vars_after_first,
-            "repeated same-depth queries must not add variables"
-        );
-        assert_eq!(
-            bmc.num_clauses(),
-            clauses_after_first,
-            "repeated same-depth queries must not add clauses"
-        );
-        // Alternating depths: after each depth has been seen once, the
-        // per-depth activation cache must make further alternation free —
-        // zero variable and zero clause growth, not one retire-and-
-        // recreate cycle per switch.
-        assert!(matches!(bmc.check_any_up_to(2).unwrap(), BmcResult::Clear));
-        let vars_after_warm = bmc.num_vars();
-        let clauses_after_warm = bmc.num_clauses();
-        for _ in 0..10 {
-            assert!(matches!(bmc.check_any_up_to(2).unwrap(), BmcResult::Clear));
-            assert!(matches!(bmc.check_any_up_to(4).unwrap(), BmcResult::Cex(_)));
-        }
-        assert_eq!(
-            bmc.num_vars(),
-            vars_after_warm,
-            "alternating-depth queries must not add solver variables"
-        );
-        assert_eq!(
-            bmc.num_clauses(),
-            clauses_after_warm,
-            "alternating-depth queries must not add clauses"
-        );
-        // And the cached activations must not constrain other depths'
-        // answers: depth 2 is still clear, depth 4 still violating.
-        assert!(matches!(bmc.check_any_up_to(2).unwrap(), BmcResult::Clear));
-        assert!(matches!(bmc.check_any_up_to(4).unwrap(), BmcResult::Cex(_)));
-    }
-
-    #[test]
     fn budget_propagates_to_unknown() {
         // A miter-like hard instance: equivalence of two 6-bit multipliers
         // via xor of outputs is UNSAT but takes work; with a 1-conflict
@@ -532,27 +413,23 @@ mod tests {
         // True incremental unrolling: walking a depth ladder query by
         // query must build the same SAT instance as one fresh jump to
         // the final depth — every frame encoded once, no re-encoding on
-        // deepening, learnt state and activation cache preserved.
+        // deepening, learnt state preserved.
         let aig = counter_reaches(5);
         let mut ladder = Bmc::new(&aig);
         for k in 0..=5 {
             let _ = ladder.check_at(k).unwrap();
-            let _ = ladder.check_any_up_to(k).unwrap();
         }
         let mut fresh = Bmc::new(&aig);
         let _ = fresh.check_at(5).unwrap();
-        // The ladder adds exactly one activation variable per distinct
-        // `check_any_up_to` depth on top of the frame encoding.
         assert_eq!(
             ladder.num_vars(),
-            fresh.num_vars() + 6,
+            fresh.num_vars(),
             "laddered unrolling must not re-encode frames"
         );
         let vars_before = ladder.num_vars();
         let clauses_before = ladder.num_clauses();
         for k in 0..=5 {
             let _ = ladder.check_at(k).unwrap();
-            let _ = ladder.check_any_up_to(k).unwrap();
         }
         assert_eq!(ladder.num_vars(), vars_before, "revisits add no variables");
         assert_eq!(

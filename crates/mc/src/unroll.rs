@@ -66,20 +66,6 @@ impl Unroller {
         }
     }
 
-    /// Creates an unroller over the **statically reduced** form of
-    /// `aig`: the circuit is first swept by the `axmc-absint` ternary
-    /// fixpoint (constant folding through proven-constant gates,
-    /// frozen-latch substitution, structural re-hashing, dangling-node
-    /// elimination), and the unroller encodes the smaller equisatisfiable
-    /// circuit. The interface (inputs, latches, outputs) is preserved
-    /// exactly, so frames, traces and queries are interchangeable with an
-    /// unroller over the original circuit; only the per-frame CNF is
-    /// smaller. The reduction report says by how much.
-    pub fn new_reduced(aig: Aig) -> (Self, axmc_absint::ReductionReport) {
-        let (reduced, report) = axmc_absint::sweep(&aig);
-        (Unroller::new(reduced), report)
-    }
-
     /// The unrolled circuit.
     pub fn aig(&self) -> &Aig {
         &self.aig
@@ -276,44 +262,5 @@ mod tests {
         assert_eq!(trace.len(), 3);
         // Replay: the latch must indeed be high in cycle 2.
         assert_eq!(trace.replay(u.aig())[2], vec![true]);
-    }
-
-    #[test]
-    fn reduced_unroller_answers_like_the_original() {
-        // A sticky latch plus a semantically constant cone: a frozen
-        // latch (never leaves its reset value) gates a second output that
-        // only the ternary fixpoint — not structural hashing — can fold.
-        let mut aig = Aig::new();
-        let x = aig.add_input();
-        let q = aig.add_latch(false);
-        let nxt = aig.or(q, x);
-        aig.set_latch_next(0, nxt);
-        aig.add_output(q);
-        let f = aig.add_latch(false);
-        aig.set_latch_next(1, f);
-        let dead = aig.and(f, x);
-        aig.add_output(dead);
-
-        let (mut reduced, report) = Unroller::new_reduced(aig.clone());
-        let mut plain = Unroller::new(aig);
-        assert!(report.nodes_removed() > 0, "the dead AND must be swept");
-        assert_eq!(reduced.aig().num_inputs(), plain.aig().num_inputs());
-        assert_eq!(reduced.aig().num_latches(), plain.aig().num_latches());
-        assert_eq!(reduced.aig().num_outputs(), plain.aig().num_outputs());
-        for u in [&mut reduced, &mut plain] {
-            u.extend_to(3);
-            let o0 = u.frame(2).outputs[0];
-            assert_eq!(
-                u.solver_mut().solve_with_assumptions(&[o0]),
-                SolveResult::Sat,
-                "latch reachable high in cycle 2"
-            );
-            let o1 = u.frame(2).outputs[1];
-            assert_eq!(
-                u.solver_mut().solve_with_assumptions(&[o1]),
-                SolveResult::Unsat,
-                "dead output is never high"
-            );
-        }
     }
 }

@@ -14,7 +14,13 @@
 //! | [`sequential_strict_miter`] | product machine: outputs differ *this cycle* |
 //! | [`sequential_diff_miter`] | product machine: arithmetic error `> T` this cycle |
 //! | [`sequential_bit_flip_miter`] | product machine: Hamming distance `> T` this cycle |
-//! | [`accumulated_error_miter`] | running (saturating) total error `> T` |
+//!
+//! The word miters output an error word instead of one bit, for
+//! threshold searches that attach a comparator per probe:
+//! [`diff_word_miter`], [`abs_diff_word_miter`], [`popcount_word_miter`],
+//! their sequential forms, [`accumulated_error_miter`] (the running,
+//! saturating total error) and [`error_cycle_count_miter`] (the count of
+//! erroneous cycles).
 //!
 //! Deciding satisfiability of a combinational miter output with a SAT
 //! solver answers "can the error ever exceed T"; model checking a

@@ -1,12 +1,14 @@
 //! Sequential miter constructions.
 //!
 //! A sequential miter runs the golden and candidate sequential circuits in
-//! lock-step on shared inputs (a product machine) and raises a single
-//! output when the property under test is violated **in the current
-//! cycle**: output inequality, arithmetic error above a threshold, or —
-//! with the accumulator variant — total accumulated error above a
-//! threshold. Bounded model checking over these miters yields the
-//! paper's precise sequential error metrics.
+//! lock-step on shared inputs (a product machine). A property miter
+//! raises a single output when the property under test is violated **in
+//! the current cycle**: output inequality or arithmetic error above a
+//! threshold. A word miter outputs the error word itself — the
+//! difference, the Hamming distance, the running total of the errors or
+//! the count of erroneous cycles — and threshold searches compare it per
+//! frame. Bounded model checking over these miters yields the paper's
+//! precise sequential error metrics.
 
 use crate::comb::diff_exceeds;
 use axmc_aig::{Aig, Lit, Word};
@@ -163,21 +165,17 @@ pub fn sequential_popcount_word_miter(golden: &Aig, candidate: &Aig) -> Aig {
 
 /// The general error-accumulating miter (the paper's Gen/C/G/E/A/D
 /// scheme): an `acc_width`-bit register accumulates the per-cycle absolute
-/// arithmetic error with saturation; the output is 1 once the running
-/// total (including the current cycle) exceeds `threshold`.
+/// arithmetic error with saturation; the outputs are the running total
+/// including the current cycle (the register's next state), so the word
+/// in cycle `k` is the total over cycles `0..=k`.
 ///
-/// Saturation makes the check sound: once the accumulator tops out the
-/// output stays 1 forever.
+/// Saturation keeps the word sound: once the accumulator tops out at
+/// `2^acc_width - 1` it stays there forever.
 ///
 /// # Panics
 ///
 /// Panics if the interfaces differ, or if `acc_width` is 0 or exceeds 127.
-pub fn accumulated_error_miter(
-    golden: &Aig,
-    candidate: &Aig,
-    acc_width: usize,
-    threshold: u128,
-) -> Aig {
+pub fn accumulated_error_miter(golden: &Aig, candidate: &Aig, acc_width: usize) -> Aig {
     check_interfaces(golden, candidate);
     assert!((1..=127).contains(&acc_width), "acc_width out of range");
     let mut m = Aig::new();
@@ -201,23 +199,19 @@ pub fn accumulated_error_miter(
     let next_acc = Word::mux(&mut m, carry, &ones, &sum);
     for (k, &bit) in next_acc.bits().iter().enumerate() {
         m.set_latch_next(first_acc_latch + k, bit);
+        m.add_output(bit);
     }
-
-    // D(ecision) block: total (with saturation) exceeds the threshold?
-    let over = next_acc.ugt_const(&mut m, threshold);
-    let bad = m.or(carry, over);
-    m.add_output(bad);
     m
 }
 
 /// The error-cycle counting miter (temporal error rate): a saturating
 /// `count_width`-bit register counts the cycles in which the per-cycle
-/// absolute arithmetic error exceeds `error_threshold`; the output is 1
-/// once more than `cycle_threshold` such cycles have occurred (including
-/// the current one).
+/// absolute arithmetic error exceeds `error_threshold`; the outputs are
+/// the count including the current cycle (the register's next state).
 ///
-/// BMC over this miter answers "can more than N of the first k cycles be
-/// erroneous?" — the sequential analogue of the combinational error rate.
+/// A threshold search over this word answers "how many of the first k
+/// cycles can be erroneous?" — the sequential analogue of the
+/// combinational error rate.
 ///
 /// # Panics
 ///
@@ -226,7 +220,6 @@ pub fn error_cycle_count_miter(
     golden: &Aig,
     candidate: &Aig,
     count_width: usize,
-    cycle_threshold: u128,
     error_threshold: u128,
 ) -> Aig {
     check_interfaces(golden, candidate);
@@ -250,13 +243,8 @@ pub fn error_cycle_count_miter(
     let next = Word::mux(&mut m, erroneous, &bumped, &count);
     for (k, &bit) in next.bits().iter().enumerate() {
         m.set_latch_next(first_latch + k, bit);
+        m.add_output(bit);
     }
-
-    // More than `cycle_threshold` erroneous cycles so far (incl. now)?
-    let over = next.ugt_const(&mut m, cycle_threshold);
-    let saturated = m.and(erroneous, carry);
-    let bad = m.or(over, saturated);
-    m.add_output(bad);
     m
 }
 
@@ -369,38 +357,44 @@ mod tests {
         assert!(flagged);
     }
 
+    /// The miter's output word in each cycle of a one-lane simulation.
+    fn words(m: &Aig, inputs: &[u64], cycles: usize) -> Vec<u128> {
+        let mut sim = Simulator::new(m);
+        (0..cycles)
+            .map(|_| {
+                let out = sim.step(inputs);
+                out.iter()
+                    .enumerate()
+                    .map(|(bit, &lane)| u128::from(lane & 1) << bit)
+                    .sum()
+            })
+            .collect()
+    }
+
     #[test]
     fn accumulated_error_miter_sums_errors() {
-        // Compare an exact adder against itself: never flags.
+        // Compare an exact adder against itself: the total stays 0.
         let exact = accumulator(&generators::ripple_carry_adder(3), 3);
-        let m = accumulated_error_miter(&exact, &exact, 8, 0);
-        let mut sim = Simulator::new(&m);
         let one = [u64::MAX, 0, 0];
-        for _ in 0..10 {
-            assert_eq!(sim.step(&one)[0], 0);
-        }
+        let m = accumulated_error_miter(&exact, &exact, 8);
+        assert_eq!(m.num_outputs(), 8);
+        assert!(words(&m, &one, 10).iter().all(|&w| w == 0));
 
-        // Exact vs truncated: the running total eventually exceeds any
-        // small threshold.
+        // Exact vs truncated, constant stimulus 1: the approximate state
+        // stays 0 while the exact one counts 0, 1, 2, ..., 7, 0, ..., so
+        // the running total grows by the exact state each cycle.
         let apx = accumulator(&approx::truncated_adder(3, 1), 3);
-        let m = accumulated_error_miter(&exact, &apx, 8, 3);
-        let mut sim = Simulator::new(&m);
-        let mut flagged_at = None;
-        for cycle in 0..16 {
-            if sim.step(&one)[0] != 0 && flagged_at.is_none() {
-                flagged_at = Some(cycle);
-            }
-        }
-        assert!(flagged_at.is_some(), "accumulated error must pass 3");
-        // Once flagged, the saturating accumulator keeps it flagged.
-        let at = flagged_at.unwrap();
-        let mut sim = Simulator::new(&m);
-        for cycle in 0..16 {
-            let out = sim.step(&one)[0];
-            if cycle >= at {
-                assert_eq!(out & 1, 1, "stays flagged at cycle {cycle}");
-            }
-        }
+        let m = accumulated_error_miter(&exact, &apx, 8);
+        let expected: Vec<u128> = (0..10u128)
+            .scan(0, |total, cycle| {
+                *total += cycle % 8;
+                Some(*total)
+            })
+            .collect();
+        assert_eq!(words(&m, &one, 10), expected);
+        // A 3-bit total saturates at 7 and stays there.
+        let narrow = accumulated_error_miter(&exact, &apx, 3);
+        assert_eq!(words(&narrow, &one, 8), [0, 1, 3, 6, 7, 7, 7, 7]);
     }
 
     #[test]
@@ -411,26 +405,14 @@ mod tests {
         let exact = accumulator(&generators::ripple_carry_adder(3), 3);
         let apx = accumulator(&approx::truncated_adder(3, 1), 3);
         let one = [u64::MAX, 0, 0];
-        // Threshold 2 erroneous cycles: the flag must first rise in the
-        // cycle when the 3rd erroneous output is observed.
-        let m = error_cycle_count_miter(&exact, &apx, 6, 2, 0);
-        let mut sim = Simulator::new(&m);
-        let mut first_flag = None;
-        for cycle in 0..10 {
-            if sim.step(&one)[0] & 1 == 1 && first_flag.is_none() {
-                first_flag = Some(cycle);
-            }
-        }
-        // Outputs differ from cycle 1 (states diverge after the first
-        // mis-addition), so erroneous cycles are 1, 2, 3, ... and the
-        // third one lands at cycle 3.
-        assert_eq!(first_flag, Some(3));
-        // With a huge cycle threshold the flag stays silent.
-        let quiet = error_cycle_count_miter(&exact, &apx, 6, 60, 0);
-        let mut sim = Simulator::new(&quiet);
-        for _ in 0..10 {
-            assert_eq!(sim.step(&one)[0] & 1, 0);
-        }
+        let m = error_cycle_count_miter(&exact, &apx, 6, 0);
+        assert_eq!(words(&m, &one, 6), [0, 1, 2, 3, 4, 5]);
+        // Only errors above 2 count: exact states 3, 4, 5, ... from cycle 3.
+        let m = error_cycle_count_miter(&exact, &apx, 6, 2);
+        assert_eq!(words(&m, &one, 6), [0, 0, 0, 1, 2, 3]);
+        // A 2-bit counter saturates at 3.
+        let narrow = error_cycle_count_miter(&exact, &apx, 2, 0);
+        assert_eq!(words(&narrow, &one, 6), [0, 1, 2, 3, 3, 3]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! line-delimited JSON — over stdin or a unix domain socket — schedules
 //! them onto a worker fleet with FIFO-within-priority fairness, and
 //! streams results back as JSONL. The centerpiece is a structural-hash
-//! result cache ([`ResultCache`]): verdicts are keyed by the ordered AIG
+//! result cache ([`axmc_core::ResultCache`]): verdicts are keyed by the ordered AIG
 //! pair fingerprint plus the full query parameters, so re-analyzing a
 //! circuit pair the server has already seen is a map lookup instead of a
 //! solver run. Sequential threshold probes additionally reuse warm
@@ -22,12 +22,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 pub mod protocol;
 mod queue;
 mod server;
 
-pub use crate::cache::ResultCache;
 pub use crate::protocol::{Metric, Request, RequestError};
 pub use crate::queue::JobQueue;
 pub use crate::server::{BatchSummary, ServeConfig, Server};

@@ -1,14 +1,13 @@
 //! The batch analysis server: request intake, the worker fleet, and the
 //! per-job execution pipeline (cache → warm engine → cold analyzer).
 
-use crate::cache::ResultCache;
 use crate::protocol::{self, JobKind, Metric, Request};
 use crate::queue::JobQueue;
 use axmc_aig::{aiger, Aig};
 use axmc_core::cache::metric;
 use axmc_core::{
     AnalysisError, AnalysisOptions, Backend, CacheHandle, CachedResult, CombAnalyzer, QueryCache,
-    QueryKey, ResourceCtl, SeqAnalyzer, SeqProbe, Verdict,
+    QueryKey, ResourceCtl, ResultCache, SeqAnalyzer, SeqProbe, Verdict,
 };
 use axmc_obs::json::Json;
 use std::collections::HashMap;
@@ -249,6 +248,14 @@ impl Server {
             cache_hits: self.cache.hits() - hits0,
             cache_misses: self.cache.misses() - misses0,
         };
+        for (name, delta) in [
+            ("serve.cache.hit", summary.cache_hits),
+            ("serve.cache.miss", summary.cache_misses),
+        ] {
+            if delta > 0 {
+                axmc_obs::counter(name).add(delta);
+            }
+        }
         record_io(write_line(&protocol::done_line(
             summary.jobs,
             summary.ok,

@@ -357,6 +357,25 @@ t1_values_gate() {
 }
 t1_values_gate
 
+# Combinational-values gate: the T3 harness at quick scale (about 0.1 s)
+# must reproduce the committed component, WCE, BF and probes columns of
+# its 13 rows byte for byte (the timing columns are left out). The
+# probes column pins the effort of the combinational threshold search
+# the way t1_values_gate pins the sequential values.
+t3_values_gate() {
+    echo "== T3 combinational values gate =="
+    local dir
+    dir=$(mktemp -d)
+    AXMC_METRICS=off cargo run --release --offline -p axmc-bench \
+        --bin table3_exactness >"$dir/t3.txt"
+    awk '$1 ~ /^(add|mul)[0-9]/ { printf "%-16s %10s %8s %8s\n", $1, $3, $4, $5 }' \
+        "$dir/t3.txt" >"$dir/values.txt"
+    diff bench_results/t3_values.quick.txt "$dir/values.txt" \
+        || { echo "T3 combinational values or probe counts changed"; exit 1; }
+    rm -rf "$dir"
+}
+t3_values_gate
+
 # Benchmark known-answers gate: the benchmark's own tests, then one short
 # seq_bmc run. A run makes at least three whole passes, so every one of
 # its 144 sequential answers (earliest, WCE@k, BF@k at k = 4 and 6, and

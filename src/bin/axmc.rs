@@ -278,9 +278,9 @@ PARALLELISM:
                     machine's available parallelism; must be >= 1.
                     Results are identical for every N — a fixed --seed
                     reproduces the same evolve trajectory byte for byte.
-                    The sequential WCE and bit-flip searches always run
-                    on one warm engine, so their probe and conflict
-                    counts do not depend on N either.
+                    Every sequential search runs on one warm engine, so
+                    its probe and conflict counts do not depend on N
+                    either.
 
 SOLVER TUNING (see docs/solver.md):
   --inprocess       run the solver's between-solves inprocessing pass
@@ -947,8 +947,8 @@ fn characterize_widths(opts: &Flags) -> Result<Vec<usize>, String> {
 }
 
 fn cmd_characterize(opts: &Flags) -> Result<(), CliError> {
-    use axmc::characterize::{self, MemoryCache, MetricSelection, SweepOptions, Table};
-    use axmc::core::CacheHandle;
+    use axmc::characterize::{self, MetricSelection, SweepOptions, Table};
+    use axmc::core::{CacheHandle, ResultCache};
 
     let engine = characterize_engine_flag(opts)?;
     let jobs = jobs_flag(opts)?;
@@ -1123,7 +1123,7 @@ fn cmd_characterize(opts: &Flags) -> Result<(), CliError> {
         _ => Vec::new(),
     };
 
-    let cache = Arc::new(MemoryCache::new());
+    let cache = Arc::new(ResultCache::new());
     let base = AnalysisOptions::new()
         .with_ctl(ctl)
         .with_backend(engine)

@@ -3,8 +3,8 @@
 //! `CombAnalyzer` run bit for bit under the same options, and the
 //! `--jobs` fan-out never changes a single metric.
 
-use axmc::characterize::{builtin_library, characterize, MemoryCache, SweepOptions, Table};
-use axmc::core::{CacheHandle, CombAnalyzer};
+use axmc::characterize::{builtin_library, characterize, SweepOptions, Table};
+use axmc::core::{CacheHandle, CombAnalyzer, ResultCache};
 use axmc::{AnalysisOptions, Backend};
 use std::sync::Arc;
 
@@ -95,7 +95,7 @@ fn jobs_fanout_is_invariant() {
 #[test]
 fn warm_reuse_skips_the_solver_and_shares_the_query_cache() {
     let library = builtin_library(&[4], true, false);
-    let cache = Arc::new(MemoryCache::new());
+    let cache = Arc::new(ResultCache::new());
     let mut options = SweepOptions::new(
         base_options().with_cache(CacheHandle::new(cache.clone())),
         2,

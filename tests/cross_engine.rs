@@ -210,19 +210,6 @@ proptest! {
     }
 
     #[test]
-    fn disjunctive_query_agrees_with_scan(aig in random_machine()) {
-        let horizon = 5;
-        let mut a = Bmc::new(&aig);
-        let mut b = Bmc::new(&aig);
-        let scan = a.check_up_to(horizon);
-        let disj = b.check_any_up_to(horizon);
-        prop_assert_eq!(
-            matches!(scan, Ok(BmcResult::Cex(_))),
-            matches!(disj, Ok(BmcResult::Cex(_)))
-        );
-    }
-
-    #[test]
     fn induction_proofs_imply_unreachability(aig in random_machine()) {
         let opts = InductionOptions {
             max_k: 4,
@@ -249,7 +236,7 @@ proptest! {
     #[test]
     fn cex_traces_always_replay_to_violation(aig in random_machine()) {
         let mut bmc = Bmc::new(&aig);
-        if let Ok(BmcResult::Cex(trace)) = bmc.check_any_up_to(6) {
+        if let Ok(BmcResult::Cex(trace)) = bmc.check_up_to(6) {
             let replays = trace.replay(&aig);
             prop_assert!(
                 replays.iter().any(|outs| outs[0]),
@@ -273,7 +260,7 @@ fn counter_example_machine_consistency() {
 
     assert_eq!(explicit_reach(&aig, 50).bad_depth, Some(5));
     let mut bmc = Bmc::new(&aig);
-    assert!(matches!(bmc.check_any_up_to(5), Ok(BmcResult::Cex(_))));
+    assert!(matches!(bmc.check_up_to(5), Ok(BmcResult::Cex(_))));
     assert!(matches!(
         prove_invariant(&aig, &InductionOptions::default()),
         Ok(ProofResult::Falsified(_))

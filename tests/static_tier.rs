@@ -171,17 +171,31 @@ fn undecided<W: std::fmt::Debug>(verdict: Verdict<W>, what: &str) {
     }
 }
 
+fn static_interval<T: std::fmt::Debug>(result: Result<T, AnalysisError>, what: &str) {
+    match result {
+        Err(AnalysisError::Interrupted(p)) => {
+            assert_eq!(p.reason, None, "{what}");
+            assert!(p.known_low <= p.known_high, "{what}");
+        }
+        other => panic!("{what}: expected the static interval, got {other:?}"),
+    }
+}
+
 #[test]
 fn static_backend_launches_no_engine_in_threshold_queries() {
     // `Backend::Static` promises that no solver runs: the threshold probe,
-    // profile and proof of a sequential pair, and the combinational
-    // bit-flip probe, either decide from the static tier or return its
-    // interval with no interrupt reason.
+    // profile, proof, total error, error cycles and earliest error of a
+    // sequential pair, and the combinational bit-flip probe, MSB scan and
+    // error-input count, either decide from the static tier or return
+    // its interval with no interrupt reason.
     use axmc::seq::accumulator;
     let golden = accumulator(&generators::ripple_carry_adder(6), 6);
     let apx = accumulator(&approx::truncated_adder(6, 2), 6);
     let adder = generators::ripple_carry_adder(6).to_aig();
     let cheap = approx::truncated_adder(6, 2).to_aig();
+    let msb = CombAnalyzer::new(&adder, &cheap)
+        .most_significant_error_bit()
+        .unwrap();
     let options = with_backend(Backend::Static, true).with_jobs(1);
     axmc::obs::set_enabled(true);
     // Counters resolve against a thread-local registry inside the scope,
@@ -189,10 +203,7 @@ fn static_backend_launches_no_engine_in_threshold_queries() {
     let (solves, nodes) = axmc::obs::worker_scope(|| {
         let seq = SeqAnalyzer::new(&golden, &apx).with_options(options.clone());
         undecided(seq.check_error_exceeds(3, 4).unwrap(), "exceeds");
-        match seq.error_profile(3) {
-            Err(AnalysisError::Interrupted(p)) => assert_eq!(p.reason, None, "profile"),
-            other => panic!("profile: expected the static interval, got {other:?}"),
-        }
+        static_interval(seq.error_profile(3), "profile");
         let induction = InductionOptions {
             max_k: 3,
             ..InductionOptions::default()
@@ -208,6 +219,15 @@ fn static_backend_launches_no_engine_in_threshold_queries() {
             }
             other => undecided(other, "bit flips"),
         }
+        static_interval(seq.total_error_at(3, 10), "total");
+        static_interval(seq.max_error_cycles_at(3, 0), "error cycles");
+        static_interval(seq.earliest_error(4), "earliest");
+        match comb.most_significant_error_bit() {
+            // The tier's concrete probes may find the top error bit.
+            Ok(bit) => assert_eq!(bit, msb, "msb: a static decision must be exact"),
+            other => static_interval(other, "msb"),
+        }
+        static_interval(comb.count_error_inputs(1_000), "error inputs");
         (
             axmc::obs::counter("sat.solves").get(),
             axmc::obs::counter("bdd.nodes.created").get(),
