@@ -1,7 +1,70 @@
 //! The And-Inverter Graph data structure.
 
 use crate::{Lit, Var};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
+
+/// The odd multiplier of [`MulHasher`].
+const HASH_MULTIPLIER: u64 = 0xf135_7aea_2e62_a9c5;
+
+/// A multiplicative hasher for the structural-hashing table: one
+/// add-multiply per word, where SipHash spends a few dozen operations.
+/// The finish multiplies the state xor a per-process random key, so an
+/// input file cannot be crafted to pile its gates into a few buckets.
+#[derive(Clone, Copy)]
+struct MulHasher {
+    state: u64,
+    key: u64,
+}
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.state = self.state.wrapping_add(word).wrapping_mul(HASH_MULTIPLIER);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best-mixed bits at the top; the table
+        // indexes buckets with the low bits.
+        (self.state ^ self.key)
+            .wrapping_mul(HASH_MULTIPLIER)
+            .rotate_left(26)
+    }
+}
+
+/// Builds [`MulHasher`]s under this process's key, drawn once from the
+/// standard library's random hasher seeds.
+#[derive(Clone, Copy)]
+struct StrashKey(u64);
+
+impl Default for StrashKey {
+    fn default() -> Self {
+        static KEY: OnceLock<u64> = OnceLock::new();
+        StrashKey(*KEY.get_or_init(|| RandomState::new().hash_one(0u64)))
+    }
+}
+
+impl BuildHasher for StrashKey {
+    type Hasher = MulHasher;
+
+    fn build_hasher(&self) -> MulHasher {
+        MulHasher {
+            state: 0,
+            key: self.0,
+        }
+    }
+}
 
 /// The kind of a node in an [`Aig`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -62,7 +125,7 @@ pub struct Aig {
     inputs: Vec<Var>,
     latches: Vec<Latch>,
     outputs: Vec<Lit>,
-    strash: HashMap<(u32, u32), Var>,
+    strash: HashMap<(u32, u32), Var, StrashKey>,
 }
 
 impl Aig {
@@ -73,8 +136,16 @@ impl Aig {
             inputs: Vec::new(),
             latches: Vec::new(),
             outputs: Vec::new(),
-            strash: HashMap::new(),
+            strash: HashMap::default(),
         }
+    }
+
+    /// Reserves room for `additional` more AND gates, so a builder that
+    /// knows its gate count up front grows the node list and the
+    /// structural-hashing table once.
+    pub fn reserve_ands(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
+        self.strash.reserve(additional);
     }
 
     /// Number of primary inputs.

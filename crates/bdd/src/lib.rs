@@ -16,8 +16,8 @@
 //!
 //! Long computations are governable: [`Manager::with_ctl`] attaches an
 //! `axmc_sat::ResourceCtl` whose deadline/cancellation are observed
-//! cooperatively, so a BDD engine can race a SAT engine in a portfolio
-//! and be stopped the moment the other side finishes.
+//! cooperatively, so a BDD build stops at the same deadline, per-call
+//! timeout or cancellation as the SAT engine staged behind it.
 //!
 //! # Examples
 //!

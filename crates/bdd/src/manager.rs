@@ -1,11 +1,17 @@
-//! The ROBDD manager: complement edges, a unique table, ITE with
-//! memoization, model counting and AIG import under a node budget.
+//! The ROBDD manager: complement edges, a unique table, ITE and AND
+//! with memoization, model counting and AIG import under a node budget.
+//!
+//! Both tables are flat arrays. The unique table is open-addressed over
+//! node indices; the computed cache is direct-mapped and lossy. A node
+//! is created the first time its function is demanded, in the
+//! low-then-high order of the recursion, and a cache hit only prunes a
+//! call whose result (and so every node below it) already exists, so
+//! which nodes a computation creates, and in which order, does not
+//! depend on the cache: only the time it takes does.
 
 use axmc_aig::{Aig, Node};
 use axmc_sat::{Interrupt, ResourceCtl};
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Model counting over more than this many variables can overflow the
 /// `u128` accumulator (a count over `n` variables reaches `2^n`), so the
@@ -15,49 +21,31 @@ pub const MAX_COUNT_VARS: usize = 127;
 
 /// How many BDD operations run between cooperative [`ResourceCtl`]
 /// checks. Checks involve an `Instant::now()` call when a deadline is
-/// set, so they are amortized over a block of cheap hash-table ops.
+/// set, so they are amortized over a block of cheap table ops.
 const CTL_POLL_INTERVAL: u64 = 1024;
 
-/// Node indices share a `u32` with the complement bit, so a manager
-/// holds at most `2^31` nodes whatever its configured limit.
-const MAX_NODES: usize = 1 << 31;
+/// Node indices share a `u32` with the complement bit. One index short
+/// of `2^31` keeps `u32::MAX` free of any edge, so it can tag the AND
+/// entries of the computed cache ([`AND_TAG`]).
+const MAX_NODES: usize = (1 << 31) - 1;
+
+/// The third key word of an AND entry in the computed cache. No edge
+/// equals it (see [`MAX_NODES`]), so no ITE triple aliases an AND pair.
+const AND_TAG: u32 = u32::MAX;
+
+/// Slots of both tables in a fresh manager (a power of two).
+const INITIAL_SLOTS: usize = 1 << 10;
 
 /// Sentinel of the counting memo: no count reaches it (counts stay
 /// below `2^127`).
 const UNCOUNTED: u128 = u128::MAX;
 
-/// The odd multiplier of [`MulHasher`].
-const HASH_MULTIPLIER: u64 = 0xf135_7aea_2e62_a9c5;
-
-/// A multiplicative hasher for the manager's tables. Their keys are
-/// node handles the manager allocates itself, so SipHash's resistance to
-/// adversarial keys buys nothing; one add-multiply per word does.
-#[derive(Clone, Copy, Default)]
-struct MulHasher(u64);
-
-impl Hasher for MulHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        self.write_u64(u64::from(word));
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = self.0.wrapping_add(word).wrapping_mul(HASH_MULTIPLIER);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply leaves its best-mixed bits at the top; the table
-        // indexes buckets with the low bits.
-        self.0.rotate_left(26)
-    }
+/// Slot of the key `(a, b, c)` in a table of `2^(64 - shift)` slots: a
+/// multiplicative hash whose best-mixed top bits pick the slot.
+fn slot_of(a: u32, b: u32, c: u32, shift: u32) -> usize {
+    let ab = (u64::from(a) | (u64::from(b) << 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    ((ab ^ u64::from(c)).wrapping_mul(0xf135_7aea_2e62_a9c5) >> shift) as usize
 }
-
-type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
 
 /// A node handle in a [`Manager`]: an edge to a node, possibly
 /// complemented.
@@ -104,11 +92,20 @@ impl NodeId {
 /// One decision node. The high edge is always regular: a function whose
 /// high cofactor would be complemented is stored negated and reached by
 /// a complemented edge, which keeps `f` and `!f` on one node.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct BddNode {
     var: u32,
     low: NodeId,
     high: NodeId,
+}
+
+/// One computed-cache slot: the key `(f, g, h)` and its result edge.
+#[derive(Clone, Copy, Default, Debug)]
+struct CacheEntry {
+    f: u32,
+    g: u32,
+    h: u32,
+    result: u32,
 }
 
 /// Error produced when a BDD operation cannot complete.
@@ -180,10 +177,19 @@ pub struct Manager {
     num_vars: usize,
     /// Slot 0 is the terminal (`var == u32::MAX`).
     nodes: Vec<BddNode>,
-    unique: FastMap<BddNode, NodeId>,
-    /// ITE computed cache over normalized triples: first and second
-    /// arguments regular (see [`Manager::ite`]).
-    ite_cache: FastMap<(NodeId, NodeId, NodeId), NodeId>,
+    /// Open-addressed unique table with linear probing: the index of
+    /// each non-terminal node, 0 for an empty slot (the terminal never
+    /// enters). A power of two in size and at most half full; rebuilt
+    /// from `nodes` when it grows.
+    unique: Vec<u32>,
+    /// Direct-mapped, lossy computed cache, as many slots as `unique`:
+    /// ITE entries over normalized triples (first and second arguments
+    /// regular, see [`Manager::ite`]) and AND entries over ordered pairs
+    /// tagged [`AND_TAG`]. A key never starts with `NodeId::TRUE`, so a
+    /// zeroed slot is empty.
+    cache: Vec<CacheEntry>,
+    /// `64 - log2(unique.len())`: the hash shift of both tables.
+    shift: u32,
     node_limit: usize,
     /// `level_of[input] = BDD level`; identity by default.
     level_of: Vec<u32>,
@@ -194,11 +200,12 @@ pub struct Manager {
     ctl: ResourceCtl,
     /// Operation counter driving the amortized ctl poll.
     ops: u64,
-    /// ITE computed-cache hits since the last [`Manager::flush_obs`].
-    /// Plain (non-atomic) counters: the hot path stays branch-free and
-    /// the global registry is touched once per computation, not per op.
+    /// Computed-cache hits (AND and ITE lookups together) since the last
+    /// [`Manager::flush_obs`]. Plain (non-atomic) counters: the hot path
+    /// stays branch-free and the global registry is touched once per
+    /// computation, not per op.
     cache_hits: u64,
-    /// ITE computed-cache misses since the last [`Manager::flush_obs`].
+    /// Computed-cache misses since the last [`Manager::flush_obs`].
     cache_misses: u64,
     /// Node count already reported by [`Manager::flush_obs`], so churn
     /// deltas are not double-counted across flushes.
@@ -217,8 +224,9 @@ impl Manager {
         Manager {
             num_vars,
             nodes: vec![terminal],
-            unique: FastMap::default(),
-            ite_cache: FastMap::default(),
+            unique: vec![0; INITIAL_SLOTS],
+            cache: vec![CacheEntry::default(); INITIAL_SLOTS],
+            shift: 64 - INITIAL_SLOTS.trailing_zeros(),
             node_limit: MAX_NODES,
             level_of: (0..num_vars as u32).collect(),
             input_at: (0..num_vars as u32).collect(),
@@ -306,15 +314,19 @@ impl Manager {
         self.nodes.len()
     }
 
-    /// ITE computed-cache `(hits, misses)` since the last
-    /// [`Manager::flush_obs`] (or since construction).
+    /// Computed-cache `(hits, misses)` since the last
+    /// [`Manager::flush_obs`] (or since construction): lookups of the
+    /// lossy cache by AND and ITE together. A miss may recompute a
+    /// result whose nodes already exist; it never creates a node that a
+    /// hit would not have.
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.cache_hits, self.cache_misses)
     }
 
     /// Folds this manager's accumulated introspection into the global
-    /// metrics registry and resets the local deltas: cache hits/misses
-    /// (`bdd.cache.hits` / `bdd.cache.misses`), nodes created since the
+    /// metrics registry and resets the local deltas: computed-cache
+    /// lookups (`bdd.cache.hits` / `bdd.cache.misses`, see
+    /// [`Manager::cache_stats`]), nodes created since the
     /// last flush (`bdd.nodes.created` — churn, since ROBDD nodes are
     /// never freed this equals growth), and the peak node count
     /// (`bdd.nodes.peak`, a max-gauge). A no-op while observability is
@@ -355,18 +367,73 @@ impl Manager {
             low: low.complement_if(flip),
             high: high.complement_if(flip),
         };
-        if let Some(&id) = self.unique.get(&node) {
-            return Ok(id.complement_if(flip));
+        let mask = self.unique.len() - 1;
+        let mut slot = slot_of(var, node.low.0, node.high.0, self.shift);
+        loop {
+            let index = self.unique[slot] as usize;
+            if index == 0 {
+                break;
+            }
+            if self.nodes[index] == node {
+                return Ok(NodeId::regular_to(index).complement_if(flip));
+            }
+            slot = (slot + 1) & mask;
         }
         if self.nodes.len() >= self.node_limit {
             return Err(BuildBddError::SizeLimit {
                 limit: self.node_limit,
             });
         }
-        let id = NodeId::regular_to(self.nodes.len());
+        let index = self.nodes.len();
         self.nodes.push(node);
-        self.unique.insert(node, id);
-        Ok(id.complement_if(flip))
+        self.unique[slot] = index as u32;
+        if 2 * self.nodes.len() > self.unique.len() {
+            self.grow();
+        }
+        Ok(NodeId::regular_to(index).complement_if(flip))
+    }
+
+    /// Doubles both tables: the unique table is rebuilt from `nodes`,
+    /// and every cached entry moves to its slot in the larger cache.
+    fn grow(&mut self) {
+        let slots = 2 * self.unique.len();
+        self.shift -= 1;
+        let mask = slots - 1;
+        self.unique = vec![0; slots];
+        for (index, node) in self.nodes.iter().enumerate().skip(1) {
+            let mut slot = slot_of(node.var, node.low.0, node.high.0, self.shift);
+            while self.unique[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.unique[slot] = index as u32;
+        }
+        let old = std::mem::replace(&mut self.cache, vec![CacheEntry::default(); slots]);
+        for entry in old.into_iter().filter(|e| e.f != 0) {
+            self.cache[slot_of(entry.f, entry.g, entry.h, self.shift)] = entry;
+        }
+    }
+
+    /// The cached result of the key `(f, g, h)`, counting the lookup.
+    fn cache_lookup(&mut self, f: u32, g: u32, h: u32) -> Option<NodeId> {
+        let entry = self.cache[slot_of(f, g, h, self.shift)];
+        if entry.f == f && entry.g == g && entry.h == h {
+            self.cache_hits += 1;
+            Some(NodeId(entry.result))
+        } else {
+            self.cache_misses += 1;
+            None
+        }
+    }
+
+    /// Caches `result` under `(f, g, h)`, evicting the slot's entry.
+    fn cache_insert(&mut self, f: u32, g: u32, h: u32, result: NodeId) {
+        let slot = slot_of(f, g, h, self.shift);
+        self.cache[slot] = CacheEntry {
+            f,
+            g,
+            h,
+            result: result.0,
+        };
     }
 
     /// The function of a single variable (by input index; the configured
@@ -447,11 +514,9 @@ impl Manager {
             g = g.complement();
             h = h.complement();
         }
-        if let Some(&hit) = self.ite_cache.get(&(f, g, h)) {
-            self.cache_hits += 1;
+        if let Some(hit) = self.cache_lookup(f.0, g.0, h.0) {
             return Ok(hit.complement_if(flip));
         }
-        self.cache_misses += 1;
         let top = self.var_of(f).min(self.var_of(g)).min(self.var_of(h));
         let (f0, f1) = self.cofactors(f, top);
         let (g0, g1) = self.cofactors(g, top);
@@ -459,33 +524,59 @@ impl Manager {
         let low = self.ite(f0, g0, h0)?;
         let high = self.ite(f1, g1, h1)?;
         let result = self.make(top, low, high)?;
-        self.ite_cache.insert((f, g, h), result);
+        self.cache_insert(f.0, g.0, h.0, result);
         Ok(result.complement_if(flip))
     }
 
-    /// Fallible conjunction.
+    /// Fallible conjunction, by its own commutative recursion: constant
+    /// and equal operands end it, and the pair is ordered (`f < g`)
+    /// before the computed-cache lookup, so `f ∧ g` and `g ∧ f` share
+    /// one entry.
     ///
     /// # Errors
     ///
-    /// [`BuildBddError::SizeLimit`] under a node budget.
+    /// [`BuildBddError::SizeLimit`] under a node budget, or
+    /// [`BuildBddError::Interrupted`] when an attached [`ResourceCtl`]
+    /// fires.
     pub fn apply_and(&mut self, f: NodeId, g: NodeId) -> Result<NodeId, BuildBddError> {
-        self.ite(f, g, NodeId::FALSE)
+        self.poll_ctl()?;
+        if f == NodeId::FALSE || g == NodeId::FALSE || f == g.complement() {
+            return Ok(NodeId::FALSE);
+        }
+        if f == NodeId::TRUE {
+            return Ok(g);
+        }
+        if g == NodeId::TRUE || f == g {
+            return Ok(f);
+        }
+        let (f, g) = if f < g { (f, g) } else { (g, f) };
+        if let Some(hit) = self.cache_lookup(f.0, g.0, AND_TAG) {
+            return Ok(hit);
+        }
+        let top = self.var_of(f).min(self.var_of(g));
+        let (f0, f1) = self.cofactors(f, top);
+        let (g0, g1) = self.cofactors(g, top);
+        let low = self.apply_and(f0, g0)?;
+        let high = self.apply_and(f1, g1)?;
+        let result = self.make(top, low, high)?;
+        self.cache_insert(f.0, g.0, AND_TAG, result);
+        Ok(result)
     }
 
-    /// Fallible disjunction.
+    /// Fallible disjunction: `!(!f ∧ !g)`, on the AND recursion.
     ///
     /// # Errors
     ///
-    /// [`BuildBddError::SizeLimit`] under a node budget.
+    /// As [`Manager::apply_and`].
     pub fn apply_or(&mut self, f: NodeId, g: NodeId) -> Result<NodeId, BuildBddError> {
-        self.ite(f, NodeId::TRUE, g)
+        Ok(self.apply_and(f.complement(), g.complement())?.complement())
     }
 
-    /// Fallible exclusive-or.
+    /// Fallible exclusive-or: `ite(f, !g, g)`.
     ///
     /// # Errors
     ///
-    /// [`BuildBddError::SizeLimit`] under a node budget.
+    /// As [`Manager::ite`].
     pub fn apply_xor(&mut self, f: NodeId, g: NodeId) -> Result<NodeId, BuildBddError> {
         self.ite(f, g.complement(), g)
     }
@@ -880,6 +971,26 @@ mod tests {
         match m.import_aig(&mult) {
             Err(BuildBddError::SizeLimit { limit }) => assert_eq!(limit, 200_000),
             other => panic!("10-bit multiplier should exceed 200k nodes, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reimporting_into_a_warm_manager_creates_no_node() {
+        use axmc_circuit::{approx, generators};
+        // The multiplier grows the tables (and re-slots the cache) during
+        // the first import; the adder stays within the initial slots.
+        let mult = generators::array_multiplier(6).to_aig();
+        let loa = approx::lower_or_adder(8, 3).to_aig();
+        for (aig, vars, grows) in [(mult, 12, true), (loa, 16, false)] {
+            let mut m = Manager::new(vars).with_order(&interleaved_order(vars / 2));
+            let first = m.import_aig(&aig).unwrap();
+            let nodes = m.num_nodes();
+            assert_eq!(2 * nodes > INITIAL_SLOTS, grows, "{nodes} nodes");
+            let again = m.import_aig(&aig).unwrap();
+            assert_eq!(again, first);
+            assert_eq!(m.num_nodes(), nodes);
+            let (hits, _) = m.cache_stats();
+            assert!(hits > 0);
         }
     }
 

@@ -254,7 +254,7 @@ mod tests {
     use super::*;
     use axmc_aig::sim::for_each_assignment;
     use axmc_circuit::{approx, generators};
-    use axmc_miter::abs_diff_word_miter;
+    use axmc_miter::{abs_diff_word_miter, popcount_word_miter};
     use axmc_sat::{CancelToken, Interrupt};
 
     /// Exhaustive (MAE, error rate, disagreement count) of a pair.
@@ -435,6 +435,83 @@ mod tests {
             assert_eq!(maxima, expected, "interleave {interleave}");
         }
         assert!(expected.windows(2).any(|w| w[0] != w[1]));
+    }
+
+    /// What one library pair's three BDD computations return: each
+    /// value with the node count of its manager.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Pinned {
+        name: &'static str,
+        wce: (u128, usize),
+        bit_flip: (u128, usize),
+        /// Total error, error inputs, nodes.
+        average: (u128, u128, usize),
+    }
+
+    const fn pin(
+        name: &'static str,
+        wce: (u128, usize),
+        bit_flip: (u128, usize),
+        average: (u128, u128, usize),
+    ) -> Pinned {
+        Pinned {
+            name,
+            wce,
+            bit_flip,
+            average,
+        }
+    }
+
+    /// The values and node counts as the kernel recorded them before its
+    /// tables became flat arrays. The kernel creates a node the first
+    /// time its function is demanded, so no cache policy may move these.
+    const PINNED: [Pinned; 11] = [
+        pin("add8_trunc2", (6, 706), (8, 758), (196608, 61440, 704)),
+        pin("add8_trunc4", (30, 728), (8, 1110), (983040, 65280, 713)),
+        pin("add8_loa2", (2, 739), (9, 661), (40960, 28672, 739)),
+        pin("add8_loa4", (8, 856), (9, 962), (188416, 44800, 856)),
+        pin("add8_spec1", (168, 922), (7, 1176), (2064384, 39424, 905)),
+        pin("add8_spec2", (64, 687), (5, 652), (491520, 12288, 640)),
+        pin("mul4_pptrunc2", (5, 1223), (5, 1212), (320, 128, 1223)),
+        pin("mul4_pptrunc4", (49, 1206), (8, 1500), (3136, 208, 1206)),
+        pin("mul4_optrunc1", (29, 1226), (7, 1385), (1856, 176, 1221)),
+        pin("mul4_optrunc2", (81, 1266), (7, 1670), (5184, 216, 1265)),
+        pin("mul4_kulkarni", (50, 1681), (5, 1656), (800, 49, 1680)),
+    ];
+
+    #[test]
+    fn library_pairs_keep_their_values_and_node_counts() {
+        let adder = generators::ripple_carry_adder(8);
+        let mult = generators::array_multiplier(4);
+        let pairs = [
+            (&adder, approx::truncated_adder(8, 2)),
+            (&adder, approx::truncated_adder(8, 4)),
+            (&adder, approx::lower_or_adder(8, 2)),
+            (&adder, approx::lower_or_adder(8, 4)),
+            (&adder, approx::speculative_adder(8, 1)),
+            (&adder, approx::speculative_adder(8, 2)),
+            (&mult, approx::truncated_multiplier(4, 2)),
+            (&mult, approx::truncated_multiplier(4, 4)),
+            (&mult, approx::operand_truncated_multiplier(4, 1)),
+            (&mult, approx::operand_truncated_multiplier(4, 2)),
+            (&mult, approx::kulkarni_multiplier(4)),
+        ];
+        let ctl = ResourceCtl::unlimited();
+        for ((golden, cand), pinned) in pairs.iter().zip(PINNED) {
+            let (golden, cand) = (golden.to_aig(), cand.to_aig());
+            let word_max = |miter: &Aig| {
+                let (max, nodes) = exact_word_max(miter, 1, true, 1_000_000, &ctl).unwrap();
+                (max[0], nodes)
+            };
+            let avg = average(&golden, &cand, 1_000_000).unwrap();
+            let got = pin(
+                pinned.name,
+                word_max(&abs_diff_word_miter(&golden, &cand)),
+                word_max(&popcount_word_miter(&golden, &cand)),
+                (avg.total_error, avg.error_inputs, avg.bdd_nodes),
+            );
+            assert_eq!(got, pinned);
+        }
     }
 
     #[test]

@@ -1,27 +1,27 @@
 //! **T7 — Multi-backend exact error metrics**: every row runs through the
 //! unified `CombAnalyzer` backend path with per-engine timings — the
-//! CEGIS/SAT engine, the exact ROBDD engine, and the racing `Auto`
-//! portfolio — plus the exact average-case metrics (MAE, error rate)
-//! that only model counting provides.
+//! CEGIS/SAT engine, the exact ROBDD engine, and the staged `Auto`
+//! schedule (BDD first, SAT on a blow-up) — plus the exact average-case
+//! metrics (MAE, error rate) that only model counting provides.
 //!
 //! Reproduces the division of labour the literature reports: BDDs handle
 //! adder-class circuits in milliseconds with *guaranteed* average-case
 //! numbers (where sampling only estimates), but exceed any practical node
-//! budget on multipliers — where the portfolio degrades gracefully to the
-//! SAT engine and stays exact. The harness also checks the portfolio
+//! budget on multipliers — where `Auto` degrades gracefully to the SAT
+//! engine and stays exact. The harness also checks the portfolio
 //! contract on every row: `Auto` wall-clock must land within 10% of the
 //! faster single backend (plus a small scheduling grace).
 
-use axmc_bench::{banner, jobs_from_env, timed, PhaseLog, Scale};
+use axmc_bench::{banner, timed, PhaseLog, Scale};
 use axmc_circuit::{approx, generators};
 use axmc_core::{AnalysisOptions, AverageMethod, Backend, CombAnalyzer, EngineKind};
 
 /// Scheduling grace for the portfolio wall-clock check, absorbing
-/// thread-spawn and cancellation-latency jitter on loaded machines.
+/// timing jitter on loaded machines.
 const GRACE_MS: f64 = 150.0;
 
-fn options(backend: Backend, jobs: usize) -> AnalysisOptions {
-    AnalysisOptions::new().with_backend(backend).with_jobs(jobs)
+fn options(backend: Backend) -> AnalysisOptions {
+    AnalysisOptions::new().with_backend(backend)
 }
 
 fn main() {
@@ -33,7 +33,6 @@ fn main() {
     );
     let mut phases = PhaseLog::new("T7", scale);
     let widths: Vec<usize> = scale.pick(vec![8, 16, 24], vec![8, 16, 24, 32]);
-    let jobs = jobs_from_env();
     let mut portfolio_misses = 0u32;
 
     println!(
@@ -60,7 +59,7 @@ fn main() {
             let run = |backend: Backend| {
                 timed(|| {
                     CombAnalyzer::new(&golden, &cand)
-                        .with_options(options(backend, jobs))
+                        .with_options(options(backend))
                         .worst_case_error()
                         .expect("unlimited analyses cannot be interrupted")
                 })
@@ -76,7 +75,7 @@ fn main() {
                 println!("  !! {name}: auto {auto_ms:.0}ms vs faster backend {faster:.0}ms");
             }
             let avg = CombAnalyzer::new(&golden, &cand)
-                .with_options(options(Backend::Bdd, jobs))
+                .with_options(options(Backend::Bdd))
                 .average_error()
                 .expect("unlimited analyses cannot be interrupted");
             assert_eq!(
@@ -100,9 +99,9 @@ fn main() {
     }
 
     // The multiplier wall: the BDD blows its node budget, the `Bdd`
-    // backend and the portfolio both degrade to the (exact) SAT engine.
+    // and `Auto` backends both degrade to the (exact) SAT engine.
     println!();
-    println!("-- multipliers: the classic BDD blow-up, absorbed by the portfolio --");
+    println!("-- multipliers: the classic BDD blow-up, absorbed by the SAT fallback --");
     for w in scale.pick(vec![6usize, 8], vec![6usize, 8, 10]) {
         phases.phase(&format!("mul{w}"));
         let golden = generators::array_multiplier(w).to_aig();
@@ -110,7 +109,7 @@ fn main() {
         // The multiplier WCE probes hammer one warm solver for seconds at
         // a time — exactly the workload the between-solves inprocessing
         // pass targets, so it is on here (verdicts are unaffected).
-        let opts = options(Backend::Auto, jobs)
+        let opts = options(Backend::Auto)
             .with_bdd_node_limit(200_000)
             .with_inprocessing(true);
         let (report, ms) = timed(|| {

@@ -94,7 +94,7 @@ pub struct SearchOptions {
     /// by an exact BDD characteristic-function maximum; a node-budget
     /// blow-up falls back to the configured [`Verifier`]. Candidates
     /// already fan out across the [`SearchOptions::jobs`] worker fleet,
-    /// so the per-candidate schedule is staged rather than raced.
+    /// and the per-candidate schedule is staged like the analyzer's.
     pub backend: Backend,
     /// Node budget for the BDD oracle attempt (see
     /// [`axmc_core::DEFAULT_BDD_NODE_LIMIT`]).

@@ -47,6 +47,16 @@ impl GateOp {
         GateOp::Buf1,
     ];
 
+    /// The most AND gates [`Netlist::to_aig`] spends on this gate: an
+    /// XOR takes three, a NOT or buffer none.
+    fn aig_ands(self) -> usize {
+        match self {
+            GateOp::And | GateOp::Or | GateOp::Nand | GateOp::Nor => 1,
+            GateOp::Xor | GateOp::Xnor => 3,
+            GateOp::Not1 | GateOp::Not2 | GateOp::Buf1 => 0,
+        }
+    }
+
     /// Evaluates the gate on packed 64-lane operands.
     #[inline]
     pub fn eval64(self, a: u64, b: u64) -> u64 {
@@ -384,6 +394,7 @@ impl Netlist {
     pub fn to_aig(&self) -> Aig {
         let mut aig = Aig::new();
         let inputs = aig.add_inputs(self.num_inputs);
+        aig.reserve_ands(self.gates.iter().map(|g| g.op.aig_ands()).sum());
         let mut values: Vec<Lit> = Vec::with_capacity(self.gates.len());
         let read = |s: Signal, values: &[Lit]| -> Lit {
             match s {

@@ -20,8 +20,7 @@ use axmc_aig::{bits_to_u128, sim::for_each_assignment, Aig};
 use axmc_bdd::BuildBddError;
 use axmc_cnf::encode_comb;
 use axmc_miter::{abs_diff_word_miter, diff_word_miter, nth_bit_miter, popcount_word_miter};
-use axmc_sat::{CancelToken, Interrupt, ResourceCtl, SolveResult, Solver};
-use std::time::Instant;
+use axmc_sat::{Interrupt, SolveResult, Solver};
 
 /// Widest input count the exhaustive-sweep fallback of
 /// [`CombAnalyzer::average_error`] will attempt (`2^20` evaluations).
@@ -285,10 +284,9 @@ impl<'a> CombAnalyzer<'a> {
     /// The exact worst-case error, through the backend selected by
     /// [`AnalysisOptions::backend`]: counterexample-guided galloping
     /// search over threshold miters (SAT), characteristic-function
-    /// maximization over `|G - C|` (BDD), or an `Auto` portfolio racing
-    /// both under a shared cancellation token — first sound result wins,
-    /// the loser is cancelled, and a BDD node-budget blow-up degrades
-    /// gracefully to SAT. Both engines are exact, so the value is
+    /// maximization over `|G - C|` (BDD), or the staged `Auto` schedule —
+    /// the static tier, then the BDD under its node budget, then SAT when
+    /// the BDD blows it. Both engines are exact, so the value is
     /// backend-independent; see `docs/backends.md`.
     ///
     /// # Errors
@@ -309,6 +307,19 @@ impl<'a> CombAnalyzer<'a> {
             |r| Some(CachedResult::Wide(*r)),
             || {
                 let max = word_max(self.golden.num_outputs());
+                // The SAT search wants the signed difference word
+                // (comparators attach per probe); the BDD walk maximizes
+                // an unsigned word, so it gets the absolute-value form.
+                // The SAT side builds its miter only when it runs.
+                let sat = |window| {
+                    let miter = diff_word_miter(self.golden, self.candidate);
+                    let miter = if self.static_tier_active() {
+                        axmc_absint::sweep(&miter).0
+                    } else {
+                        miter.compact()
+                    };
+                    self.sat_search("comb.wce", &miter, WordKind::SignedDiff, max, window)
+                };
                 // The static tier first: a pinned interval is the exact
                 // value with no solver launched at all; an open one
                 // still shrinks the search window and sweeps the miter.
@@ -325,40 +336,13 @@ impl<'a> CombAnalyzer<'a> {
                         return Self::static_undecided(bounds);
                     }
                     let window = bounds.map_or((0, max), |b| b.interval);
-                    let (miter, _) =
-                        axmc_absint::sweep(&diff_word_miter(self.golden, self.candidate));
-                    return self.run_backend(
-                        |ctl| {
-                            self.sat_search(
-                                "comb.wce",
-                                &miter,
-                                WordKind::SignedDiff,
-                                max,
-                                window,
-                                ctl,
-                            )
-                        },
-                        |ctl| self.bdd_word_max(&abs_swept, ctl),
-                    );
+                    return self.run_backend(|| sat(window), || self.bdd_word_max(&abs_swept));
                 }
-                // The SAT search wants the signed difference word
-                // (comparators attach per probe); the BDD walk maximizes
-                // an unsigned word, so it gets the absolute-value form.
-                let miter = diff_word_miter(self.golden, self.candidate).compact();
                 self.run_backend(
-                    |ctl| {
-                        self.sat_search(
-                            "comb.wce",
-                            &miter,
-                            WordKind::SignedDiff,
-                            max,
-                            (0, max),
-                            ctl,
-                        )
-                    },
-                    |ctl| {
+                    || sat((0, max)),
+                    || {
                         let abs = abs_diff_word_miter(self.golden, self.candidate).compact();
-                        self.bdd_word_max(&abs, ctl)
+                        self.bdd_word_max(&abs)
                     },
                 )
             },
@@ -367,8 +351,7 @@ impl<'a> CombAnalyzer<'a> {
 
     /// The SAT engine shared by both worst-case metrics: the frame-major
     /// search of a threshold engine at horizon 0 over the word miter,
-    /// armed with the caller's (or the race's) control, from `window`.
-    /// Witnesses are replayed on both circuits.
+    /// from `window`. Witnesses are replayed on both circuits.
     fn sat_search(
         &self,
         label: &str,
@@ -376,10 +359,8 @@ impl<'a> CombAnalyzer<'a> {
         kind: WordKind,
         max: u128,
         window: (u128, u128),
-        ctl: &ResourceCtl,
     ) -> Result<ErrorReport<u128>, AnalysisError> {
         let mut engine = ThresholdEngine::new(miter.clone(), kind, &self.options);
-        engine.set_ctl(ctl.clone());
         let (values, sat_calls) = engine.search(label, 0, max, window, |trace| {
             let input = &trace.inputs[0];
             let g = bits_to_u128(&self.golden.eval_comb(input));
@@ -441,18 +422,17 @@ impl<'a> CombAnalyzer<'a> {
                     miter = swept;
                 }
                 self.run_backend(
-                    |ctl| {
+                    || {
                         let report = self.sat_search(
                             "comb.bit_flip",
                             &miter,
                             WordKind::Unsigned,
                             max,
                             window,
-                            ctl,
                         )?;
                         Ok(report.map(|value| value as u32))
                     },
-                    |ctl| self.bdd_word_max(&miter, ctl).map(|v| v as u32),
+                    || self.bdd_word_max(&miter).map(|v| v as u32),
                 )
             },
         )
@@ -460,7 +440,8 @@ impl<'a> CombAnalyzer<'a> {
 
     /// The BDD engine shared by both worst-case metrics: the exact
     /// maximum of the miter's output word.
-    fn bdd_word_max(&self, miter: &Aig, ctl: &ResourceCtl) -> BddAttempt<u128> {
+    fn bdd_word_max(&self, miter: &Aig) -> BddAttempt<u128> {
+        let ctl = &self.options.ctl;
         match axmc_bdd::exact_word_max(miter, 1, true, self.options.bdd_node_limit, ctl) {
             Ok((value, nodes)) => BddAttempt::Exact {
                 value: value[0],
@@ -470,45 +451,20 @@ impl<'a> CombAnalyzer<'a> {
         }
     }
 
-    /// Runs the SAT engine under `ctl`, recording its latency (as a
-    /// histogram sample and, when a trace is recorded, a profile span).
-    fn timed_sat<T>(
-        &self,
-        ctl: &ResourceCtl,
-        sat: &(impl Fn(&ResourceCtl) -> Result<ErrorReport<T>, AnalysisError> + ?Sized),
-    ) -> Result<ErrorReport<T>, AnalysisError> {
-        let _span = axmc_obs::span("engine.sat.time_us");
-        sat(ctl)
-    }
-
-    /// Runs the BDD engine under `ctl`, recording its latency and (on
-    /// success) its node count.
-    fn timed_bdd<T>(
-        &self,
-        ctl: &ResourceCtl,
-        bdd: &(impl Fn(&ResourceCtl) -> BddAttempt<T> + ?Sized),
-    ) -> BddAttempt<T> {
-        let _span = axmc_obs::span("engine.bdd.time_us");
-        let out = bdd(ctl);
-        if let BddAttempt::Exact { nodes, .. } = &out {
-            axmc_obs::histogram("bdd.nodes").record(*nodes as u64);
-        }
-        out
-    }
-
-    /// Backend dispatch shared by the worst-case metrics: run the SAT
-    /// engine, the BDD engine, or race both as a portfolio.
+    /// Backend dispatch shared by the worst-case metrics: the SAT engine,
+    /// or the BDD engine under its node budget with SAT behind it.
     ///
-    /// Soundness of `Auto`: both engines compute the *exact* metric, so
-    /// whichever answers first is authoritative and the other can be
-    /// cancelled without loss. A BDD node-budget blow-up is not an
-    /// answer — it degrades to SAT rather than erroring. A rejected
-    /// certificate from the SAT side is always surfaced, never masked by
-    /// the portfolio.
-    fn run_backend<T: Send>(
+    /// Both engines compute the *exact* metric, so whichever answers is
+    /// authoritative. A BDD node-budget blow-up is not an answer: it
+    /// degrades to SAT rather than erroring. An outer limit that fires
+    /// mid-BDD ends a `Bdd` query; under `Auto` the SAT engine, which
+    /// observes the same limits, returns the typed anytime result. Every
+    /// engine runs under the caller's control, one after the other, so
+    /// the report never depends on `jobs`.
+    fn run_backend<T>(
         &self,
-        sat: impl Fn(&ResourceCtl) -> Result<ErrorReport<T>, AnalysisError> + Send + Sync,
-        bdd: impl Fn(&ResourceCtl) -> BddAttempt<T> + Send + Sync,
+        sat: impl FnOnce() -> Result<ErrorReport<T>, AnalysisError>,
+        bdd: impl FnOnce() -> BddAttempt<T>,
     ) -> Result<ErrorReport<T>, AnalysisError> {
         if axmc_obs::tracing_active() {
             // Structural fingerprints identify the analyzed cone pair
@@ -522,130 +478,35 @@ impl<'a> CombAnalyzer<'a> {
                     .field("backend", format!("{}", self.options.backend)),
             );
         }
-        match self.options.backend {
+        let timed_sat = || {
+            axmc_obs::counter("engine.selected.sat").inc();
+            let _span = axmc_obs::span("engine.sat.time_us");
+            sat()
+        };
+        let attempt = match self.options.backend {
             Backend::Static => {
                 unreachable!("the static tier decides Backend::Static before engine dispatch")
             }
-            Backend::Sat => {
-                axmc_obs::counter("engine.selected.sat").inc();
-                self.timed_sat(&self.options.ctl, &sat)
+            Backend::Sat => return timed_sat(),
+            Backend::Bdd | Backend::Auto => {
+                let _span = axmc_obs::span("engine.bdd.time_us");
+                bdd()
             }
-            Backend::Bdd => match self.timed_bdd(&self.options.ctl, &bdd) {
-                BddAttempt::Exact { value, .. } => {
-                    axmc_obs::counter("engine.selected.bdd").inc();
-                    Ok(bdd_report(value))
-                }
-                BddAttempt::Unavailable => {
-                    axmc_obs::counter("engine.fallback").inc();
-                    axmc_obs::counter("engine.selected.sat").inc();
-                    self.timed_sat(&self.options.ctl, &sat)
-                }
-                BddAttempt::Interrupted(reason) => Err(AnalysisError::interrupted(reason)),
-            },
-            Backend::Auto if self.options.effective_jobs() >= 2 => {
-                // True race on two workers: each engine runs under the
-                // caller's control *plus* a shared race token; the first
-                // sound finisher raises the token to stop the loser.
-                let race = CancelToken::new();
-                let ctl = self.options.ctl.clone().with_cancel(race.clone());
-                let bdd_ctl = ctl.clone();
-                let sat_ctl = ctl;
-                let race_bdd = race.clone();
-                let race_sat = race;
-                let ((bdd_out, bdd_us), (sat_out, sat_us)) = axmc_par::parallel_pair(
-                    || {
-                        let start = Instant::now();
-                        let out = self.timed_bdd(&bdd_ctl, &bdd);
-                        if matches!(out, BddAttempt::Exact { .. }) {
-                            race_bdd.cancel();
-                        }
-                        (out, start.elapsed().as_micros() as u64)
-                    },
-                    || {
-                        let start = Instant::now();
-                        let out = self.timed_sat(&sat_ctl, &sat);
-                        if out.is_ok() {
-                            race_sat.cancel();
-                        }
-                        (out, start.elapsed().as_micros() as u64)
-                    },
-                );
-                if axmc_obs::tracing_active() {
-                    let winner = match (&bdd_out, &sat_out) {
-                        (BddAttempt::Exact { .. }, _) => "bdd",
-                        (_, Ok(_)) => "sat",
-                        _ => "none",
-                    };
-                    axmc_obs::emit(
-                        axmc_obs::Event::new("engine.race")
-                            .field("winner", winner)
-                            .field("bdd_us", bdd_us)
-                            .field("sat_us", sat_us)
-                            .field(
-                                "both_finished",
-                                matches!(bdd_out, BddAttempt::Exact { .. }) && sat_out.is_ok(),
-                            ),
-                    );
-                }
-                // A rejected certificate means the SAT solver produced an
-                // unsound answer — surface it, never mask it.
-                if matches!(sat_out, Err(AnalysisError::CertificateRejected { .. })) {
-                    return sat_out;
-                }
-                match (bdd_out, sat_out) {
-                    (BddAttempt::Exact { value, .. }, sat_out) => {
-                        // Both engines are exact: when both finished the
-                        // values agree, so either report is correct.
-                        if sat_out.is_ok() {
-                            axmc_obs::counter("engine.race.both_finished").inc();
-                        }
-                        axmc_obs::counter("engine.race.won.bdd").inc();
-                        axmc_obs::counter("engine.selected.bdd").inc();
-                        Ok(bdd_report(value))
-                    }
-                    (BddAttempt::Unavailable, sat_out) => {
-                        axmc_obs::counter("engine.fallback").inc();
-                        if sat_out.is_ok() {
-                            axmc_obs::counter("engine.race.won.sat").inc();
-                            axmc_obs::counter("engine.selected.sat").inc();
-                        }
-                        sat_out
-                    }
-                    (BddAttempt::Interrupted(_), Ok(report)) => {
-                        axmc_obs::counter("engine.race.won.sat").inc();
-                        axmc_obs::counter("engine.selected.sat").inc();
-                        Ok(report)
-                    }
-                    // Neither engine finished: the race token was never
-                    // raised, so the interrupts came from the caller's
-                    // own limits. The SAT side's partial carries the
-                    // tightest certified interval.
-                    (BddAttempt::Interrupted(_), Err(e)) => Err(e),
-                }
+        };
+        match attempt {
+            BddAttempt::Exact { value, nodes } => {
+                axmc_obs::histogram("bdd.nodes").record(nodes as u64);
+                axmc_obs::counter("engine.selected.bdd").inc();
+                Ok(bdd_report(value))
             }
-            Backend::Auto => {
-                // Single worker: staged schedule. The BDD attempt either
-                // finishes fast (adder-class) or fails fast on its node
-                // budget, after which SAT gets the remaining resources.
-                match self.timed_bdd(&self.options.ctl, &bdd) {
-                    BddAttempt::Exact { value, .. } => {
-                        axmc_obs::counter("engine.selected.bdd").inc();
-                        Ok(bdd_report(value))
-                    }
-                    BddAttempt::Unavailable => {
-                        axmc_obs::counter("engine.fallback").inc();
-                        axmc_obs::counter("engine.selected.sat").inc();
-                        self.timed_sat(&self.options.ctl, &sat)
-                    }
-                    // An outer limit fired mid-BDD; the SAT engine
-                    // observes the same limits and reports the proper
-                    // typed anytime result immediately.
-                    BddAttempt::Interrupted(_) => {
-                        axmc_obs::counter("engine.selected.sat").inc();
-                        self.timed_sat(&self.options.ctl, &sat)
-                    }
-                }
+            BddAttempt::Unavailable => {
+                axmc_obs::counter("engine.fallback").inc();
+                timed_sat()
             }
+            BddAttempt::Interrupted(reason) if self.options.backend == Backend::Bdd => {
+                Err(AnalysisError::interrupted(reason))
+            }
+            BddAttempt::Interrupted(_) => timed_sat(),
         }
     }
 }
@@ -727,8 +588,8 @@ impl<'a> CombAnalyzer<'a> {
     /// 3. **uniform sampling** — an estimate *without guarantees*,
     ///    flagged by `exact: false`.
     ///
-    /// The BDD stage runs under the analysis [`ResourceCtl`] and its
-    /// node budget; blow-ups fall through to the next stage.
+    /// The BDD stage runs under the analysis [`axmc_sat::ResourceCtl`]
+    /// and its node budget; blow-ups fall through to the next stage.
     ///
     /// # Errors
     ///
@@ -1046,7 +907,7 @@ pub fn sampled_stats(golden: &Aig, candidate: &Aig, samples: u64, seed: u64) -> 
 mod tests {
     use super::*;
     use axmc_circuit::{approx, generators};
-    use axmc_sat::Budget;
+    use axmc_sat::{Budget, CancelToken};
     use std::time::Duration;
 
     #[test]

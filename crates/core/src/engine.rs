@@ -1,5 +1,5 @@
 //! Backend selection for the combinational analyses: SAT, BDD, or an
-//! `Auto` portfolio racing both.
+//! `Auto` schedule that stages both.
 //!
 //! The two engines are complementary in exactly the way the classic
 //! literature predicts: the CEGIS threshold search over SAT miters is
@@ -33,15 +33,17 @@ pub enum Backend {
     /// worst-case metrics, exact model counting for the average-case
     /// ones. Falls back to SAT when the BDD exceeds its node budget.
     Bdd,
-    /// Race both engines as a portfolio; the first sound result wins and
-    /// the loser is cancelled. With a single worker the race degrades to
-    /// a staged BDD-then-SAT schedule (the BDD attempt either finishes
-    /// fast or fails fast on its node budget). Before anything is
-    /// launched the static tier (ternary abstract interpretation plus
-    /// concrete probing, `axmc-absint`) is consulted: a query it decides
-    /// never touches a solver, and one it cannot decide proceeds on the
-    /// swept (reduced) miter with the certified interval seeding the
-    /// threshold-search window.
+    /// Stage both engines: the BDD under its node budget first, then SAT
+    /// when the BDD blows the budget or an outer limit interrupts it
+    /// (the SAT engine then returns the typed anytime result). The BDD
+    /// attempt either finishes fast (adder-class) or fails fast on its
+    /// budget (multiplier-class). Before anything is launched the static
+    /// tier (ternary abstract interpretation plus concrete probing,
+    /// `axmc-absint`) is consulted: a query it decides never touches a
+    /// solver, and one it cannot decide proceeds on the swept (reduced)
+    /// miter with the certified interval seeding the threshold-search
+    /// window. The schedule is the same at every worker count, so the
+    /// report is too.
     Auto,
     /// The static tier alone: ternary abstract interpretation, concrete
     /// simulation probing, and nothing else. Queries it cannot decide
@@ -80,10 +82,10 @@ impl fmt::Display for Backend {
 }
 
 /// The engine that actually produced a result (recorded in
-/// `ErrorReport::engine` — under [`Backend::Auto`] either engine may
-/// win, and under [`Backend::Bdd`] a node-budget blow-up silently
-/// degrades to SAT, so the requested backend and the producing engine
-/// can differ).
+/// `ErrorReport::engine` — under [`Backend::Auto`] the static tier, the
+/// BDD or SAT may answer, and under [`Backend::Bdd`] a node-budget
+/// blow-up silently degrades to SAT, so the requested backend and the
+/// producing engine can differ).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EngineKind {
     /// Produced by the SAT/CEGIS engine.

@@ -14,8 +14,8 @@
 //! * exact worst-case error and worst-case bit-flip (Hamming) error,
 //!   computed by a selectable [`Backend`]: the paper's CEGIS binary
 //!   search over SAT threshold miters, ROBDD characteristic-function
-//!   maximization, or an `Auto` portfolio racing both (first sound
-//!   result wins, the loser is cancelled);
+//!   maximization, or an `Auto` schedule that stages them (the BDD
+//!   under its node budget first, SAT on a blow-up);
 //! * exact MAE / error-rate via BDD model counting whenever the width
 //!   admits a BDD, with graceful degradation to an exhaustive sweep
 //!   (small circuits) and finally to sampled estimates flagged as

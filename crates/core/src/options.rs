@@ -20,14 +20,12 @@ pub struct AnalysisOptions {
     /// RUP/DRAT checker and replay every counterexample. Rejections
     /// surface as `AnalysisError::CertificateRejected`.
     pub certify: bool,
-    /// Worker threads for the combinational `Auto` backend: with
-    /// `jobs >= 2` it races its two engines on concurrent workers instead
-    /// of staging them. `0` is treated as `1` (serial). Every other
-    /// search runs serially on one warm engine, so no sequential report
-    /// depends on `jobs`.
+    /// A worker count carried along with the other knobs. No analysis
+    /// reads it: every search runs serially on one warm engine and
+    /// `Auto` stages its engines, so no report depends on `jobs`.
     pub jobs: usize,
     /// Which analysis backend the combinational metrics use (SAT, BDD,
-    /// or the racing `Auto` portfolio). See `docs/backends.md`.
+    /// or the staged `Auto` schedule). See `docs/backends.md`.
     pub backend: Backend,
     /// Node budget for BDD construction under the `Bdd`/`Auto` backends;
     /// exceeding it degrades gracefully to SAT.
@@ -159,11 +157,6 @@ impl AnalysisOptions {
         }
         config
     }
-
-    /// The effective worker count (at least 1).
-    pub fn effective_jobs(&self) -> usize {
-        self.jobs.max(1)
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +178,6 @@ mod tests {
 
     #[test]
     fn zero_jobs_means_serial() {
-        assert_eq!(AnalysisOptions::new().effective_jobs(), 1);
         assert_eq!(AnalysisOptions::new().with_jobs(0).jobs, 1);
     }
 

@@ -2,18 +2,13 @@
 //!
 //! The whole stack's hot path is SAT/BMC oracle calls — embarrassingly
 //! parallel across CGP candidates and across independent threshold
-//! probes. This crate provides the shapes those loops need, built on
+//! probes. This crate provides the shape those loops need, built on
 //! [`std::thread::scope`] only (no external crates, so the workspace
-//! stays hermetic/offline):
-//!
-//! * [`parallel_map`] — evaluate every item of a slice on a bounded pool
-//!   of workers, returning results **in item order** regardless of
-//!   completion order. With `jobs <= 1` (or one item) it runs inline on
-//!   the calling thread, so a serial run and a `jobs = 1` run are the
-//!   same code path.
-//! * [`parallel_pair`] — the two-engine race: run exactly two
-//!   heterogeneous closures concurrently and join both, used by the
-//!   `--engine auto` SAT ⊕ BDD portfolio in `axmc-core`.
+//! stays hermetic/offline): [`parallel_map`] evaluates every item of a
+//! slice on a bounded pool of workers, returning results **in item
+//! order** regardless of completion order. With `jobs <= 1` (or one
+//! item) it runs inline on the calling thread, so a serial run and a
+//! `jobs = 1` run are the same code path.
 //!
 //! Every worker runs inside [`axmc_obs::worker_scope`], so metrics
 //! recorded by solver/model-checker code on worker threads aggregate
@@ -24,7 +19,7 @@
 //! call site — a BMC frame's parallel solver probes appear under that
 //! frame in `axmc report` regardless of `--jobs`.
 //!
-//! Determinism: neither function introduces any ordering dependence —
+//! Determinism: [`parallel_map`] introduces no ordering dependence —
 //! results are slotted by index and merged by the caller in a fixed
 //! order, which is what lets `--jobs N` reproduce `--jobs 1` byte for
 //! byte when each work item is itself deterministic.
@@ -106,52 +101,6 @@ where
         .collect()
 }
 
-/// Runs two closures concurrently on scoped worker threads and returns
-/// both results.
-///
-/// This is the two-engine portfolio shape: `axmc-core`'s `Auto` backend
-/// races its SAT and BDD engines with `parallel_pair`, each under a
-/// `ResourceCtl` carrying a shared race-cancellation token, and the
-/// first sound finisher raises the token to stop the loser. The function
-/// itself is engine-agnostic — it only provides the join.
-///
-/// Both closures always run to completion (cooperative cancellation is
-/// the caller's job); the join is a barrier.
-///
-/// # Panics
-///
-/// Panics if either closure panics (the panic is propagated after both
-/// threads have stopped).
-///
-/// # Examples
-///
-/// ```
-/// let (a, b) = axmc_par::parallel_pair(|| 6 * 7, || "done");
-/// assert_eq!(a, 42);
-/// assert_eq!(b, "done");
-/// ```
-pub fn parallel_pair<A, B, F, G>(f: F, g: G) -> (A, B)
-where
-    A: Send,
-    B: Send,
-    F: FnOnce() -> A + Send,
-    G: FnOnce() -> B + Send,
-{
-    let parent = axmc_obs::profile::current_span_id();
-    std::thread::scope(|scope| {
-        let ha = scope
-            .spawn(move || axmc_obs::worker_scope(|| axmc_obs::profile::with_parent(parent, f)));
-        let hb = scope
-            .spawn(move || axmc_obs::worker_scope(|| axmc_obs::profile::with_parent(parent, g)));
-        let ra = ha.join();
-        let rb = hb.join();
-        match (ra, rb) {
-            (Ok(a), Ok(b)) => (a, b),
-            (Err(payload), _) | (_, Err(payload)) => std::panic::resume_unwind(payload),
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,31 +162,6 @@ mod tests {
             }
             x
         });
-    }
-
-    #[test]
-    fn pair_runs_both_closures_and_returns_both_results() {
-        let left = AtomicU64::new(0);
-        let right = AtomicU64::new(0);
-        let (a, b) = parallel_pair(
-            || {
-                left.fetch_add(1, Ordering::Relaxed);
-                "sat"
-            },
-            || {
-                right.fetch_add(1, Ordering::Relaxed);
-                17u64
-            },
-        );
-        assert_eq!((a, b), ("sat", 17));
-        assert_eq!(left.load(Ordering::Relaxed), 1);
-        assert_eq!(right.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "pair boom")]
-    fn pair_propagates_panics_from_either_side() {
-        parallel_pair(|| 1u32, || panic!("pair boom"));
     }
 
     #[test]

@@ -173,9 +173,8 @@ impl ResourceCtl {
     ///
     /// Tokens *accumulate*: attaching a second token does not detach the
     /// first — the control is interrupted as soon as **any** attached
-    /// token is raised. This is what lets a portfolio race stamp its own
-    /// loser-cancellation token onto a control without disconnecting the
-    /// caller's run-level token.
+    /// token is raised, so a caller can add its own stop token to a
+    /// control without disconnecting the run-level token.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancels.push(token);
         self

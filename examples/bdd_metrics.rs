@@ -48,14 +48,14 @@ fn main() -> Result<(), axmc::AnalysisError> {
     }
     assert!(avg.exact, "BDD metrics carry formal guarantees");
 
-    // The racing Auto portfolio lands on the same exact numbers.
+    // The staged Auto schedule lands on the same exact numbers.
     let auto = CombAnalyzer::new(&golden, &candidate)
         .with_options(AnalysisOptions::new().with_backend(Backend::Auto))
         .worst_case_error()?;
     assert_eq!(auto.value, wce.value);
     println!();
     println!(
-        "auto portfolio agrees: WCE {} via {}",
+        "auto schedule agrees: WCE {} via {}",
         auto.value, auto.engine
     );
     Ok(())

@@ -393,6 +393,27 @@ axbench_answers_gate() {
 }
 axbench_answers_gate
 
+# Work-counter gate: one traced comb_library run. Every query builds a
+# fresh BDD manager and the staged Auto schedule answers all of them on
+# the BDD, so the nodes created per pass are the same on every seed and
+# every run; a change in the count means the BDD kernel or the routing
+# did different work. The last line must also report no failed query.
+comb_counters_gate() {
+    echo "== comb_library work-counter gate =="
+    local last
+    last=$(cargo run --release --offline --manifest-path axbench/Cargo.toml -- \
+        --workload comb_library --seed 1 --seconds 1 --trace 1 | tail -n 1)
+    echo "$last"
+    for want in '"failed":0' \
+        '"bdd.nodes.created":{"value":2079404,' \
+        '"sat.solves":{"value":0,' \
+        '"engine.fallback":{"value":0,'; do
+        grep -qF "$want" <<<"$last" \
+            || { echo "comb_library work counters changed: want $want"; exit 1; }
+    done
+}
+comb_counters_gate
+
 # Throughput gate for the static tier's costliest consumer: the T5
 # harness (CGP evaluations/second — every candidate now passes the
 # static pre-screen before a solver sees it) must not regress against

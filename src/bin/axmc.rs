@@ -258,11 +258,11 @@ ENGINES:
                             the paper's engine and the default
                       bdd   exact ROBDD characteristic-function engine;
                             a node-budget blow-up degrades to SAT
-                      auto  portfolio: consult the static tier (ternary
-                            abstract interpretation + concrete probing)
-                            first — a decided query launches no solver —
-                            then race both engines on the reduced miter,
-                            first sound result wins
+                      auto  consult the static tier (ternary abstract
+                            interpretation + concrete probing) first — a
+                            decided query launches no solver — then run
+                            the BDD on the reduced miter, and SAT when
+                            the BDD blows its node budget
                       static  the static tier alone: certified interval
                             bounds with no solver at all; undecided
                             queries report their [lo, hi] interval
@@ -273,14 +273,14 @@ ENGINES:
 
 PARALLELISM:
   --jobs N          worker threads for candidate verification (evolve),
-                    the component sweep (characterize), serve's workers
-                    and the SAT/BDD race of --engine auto. Defaults to the
-                    machine's available parallelism; must be >= 1.
-                    Results are identical for every N — a fixed --seed
-                    reproduces the same evolve trajectory byte for byte.
-                    Every sequential search runs on one warm engine, so
-                    its probe and conflict counts do not depend on N
-                    either.
+                    the component sweep (characterize) and serve's
+                    workers; analyze accepts it, but no analysis reads
+                    it. Defaults to the machine's available
+                    parallelism; must be >= 1. Results are identical for
+                    every N — a fixed --seed reproduces the same evolve
+                    trajectory byte for byte. Every search runs on one
+                    warm engine and --engine auto stages its engines, so
+                    no probe or conflict count depends on N either.
 
 SOLVER TUNING (see docs/solver.md):
   --inprocess       run the solver's between-solves inprocessing pass
@@ -903,9 +903,9 @@ fn cmd_analyze(opts: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses `--engine` for characterize, defaulting to the racing `Auto`
-/// portfolio — a library sweep is exactly the mixed adder/multiplier
-/// workload the portfolio (and its static-tier prescreen) is built for.
+/// Parses `--engine` for characterize, defaulting to the staged `Auto`
+/// schedule — a library sweep is exactly the mixed adder/multiplier
+/// workload the schedule (and its static-tier prescreen) is built for.
 fn characterize_engine_flag(opts: &Flags) -> Result<Backend, String> {
     match opts.get("engine") {
         None => Ok(Backend::Auto),

@@ -2,10 +2,9 @@
 //!
 //! For every width-≤8 component in the approximate suite, the SAT/CEGIS
 //! engine, the BDD engine, and an exhaustive simulation sweep must agree
-//! **bit for bit** on every metric — under every backend selection,
-//! serial and with a two-worker portfolio, and under an expiring
-//! deadline (where the portfolio must return a typed interrupt, never a
-//! torn result).
+//! **bit for bit** on every metric — under every backend selection, at
+//! one and two workers, and under an expiring deadline (where every
+//! backend must return a typed interrupt, never a torn result).
 
 use axmc::circuit::approx::{adder_library, multiplier_library, Component};
 use axmc::core::{exhaustive_stats, AverageMethod, CombAnalyzer};
@@ -77,7 +76,7 @@ fn average_metrics_are_bit_identical_across_methods() {
 #[test]
 fn expiring_deadline_yields_a_typed_interrupt_never_a_torn_result() {
     // A width-8 multiplier pair is slow enough that a zero deadline
-    // always fires first, on every backend and portfolio width.
+    // always fires first, on every backend and worker count.
     let lib = multiplier_library(8);
     let golden = lib[0].netlist.to_aig();
     let candidate = lib[1].netlist.to_aig();
@@ -105,9 +104,9 @@ fn expiring_deadline_yields_a_typed_interrupt_never_a_torn_result() {
 
 #[test]
 fn the_portfolio_survivor_wins_under_a_partial_deadline() {
-    // Give the run enough time for the (fast) BDD side of the portfolio
-    // but not for an unbounded SAT search: the portfolio must still
-    // return the exact answer, produced by whichever engine survived.
+    // Give the run enough time for the (fast) BDD stage of `Auto` but
+    // not for an unbounded SAT search: the schedule must still return
+    // the exact answer.
     let lib = adder_library(8);
     let golden = lib[0].netlist.to_aig();
     let candidate = lib[1].netlist.to_aig();

@@ -12,15 +12,20 @@
 //!   total error and error cycles) promise *report* identity: they probe
 //!   serially on one warm engine whatever `jobs` says, so value,
 //!   `sat_calls`, `conflicts` and engine all match.
+//! - **Combinational searches** (`CombAnalyzer` under `Auto`) promise
+//!   the same: the static tier, the BDD and SAT run one after the other
+//!   at every `jobs`, so the engine that answers is always the same one.
 //!
 //! The parallel worker count defaults to 8 and can be varied via
 //! `AXMC_TEST_JOBS` — the CI stress step loops this suite with several
 //! values to shake out scheduling-dependent bugs.
 
 use axmc::cgp::{evolve_in_context, SequentialContext, Verifier};
+use axmc::circuit::approx::{adder_library, multiplier_library};
 use axmc::circuit::{approx, generators};
+use axmc::core::CombAnalyzer;
 use axmc::sat::Budget;
-use axmc::{evolve, AnalysisOptions, SearchOptions, SeqAnalyzer};
+use axmc::{evolve, AnalysisOptions, Backend, SearchOptions, SeqAnalyzer};
 use std::time::Duration;
 
 /// The "many workers" side of every comparison (`AXMC_TEST_JOBS`, default 8).
@@ -155,6 +160,43 @@ fn seq_analyzer_values_are_identical_across_jobs() {
         serial.max_error_cycles_at(horizon, 0).unwrap(),
         parallel.max_error_cycles_at(horizon, 0).unwrap(),
     );
+}
+
+#[test]
+fn comb_analyzer_reports_are_identical_across_jobs() {
+    // The T3 pairs, plus two 6-bit multiplier pairs whose BDDs are the
+    // largest of the builtin library.
+    let mut pairs = Vec::new();
+    for lib in [adder_library(8), multiplier_library(4)] {
+        let golden = lib[0].netlist.to_aig();
+        for c in &lib[1..] {
+            pairs.push((c.name.clone(), golden.clone(), c.netlist.to_aig()));
+        }
+    }
+    let mult6 = generators::array_multiplier(6).to_aig();
+    for (name, cand) in [
+        ("mul6_pptrunc3", approx::truncated_multiplier(6, 3)),
+        ("mul6_optrunc3", approx::operand_truncated_multiplier(6, 3)),
+    ] {
+        pairs.push((name.to_string(), mult6.clone(), cand.to_aig()));
+    }
+    for (name, golden, cand) in &pairs {
+        let reports = |jobs| {
+            let analyzer = CombAnalyzer::new(golden, cand).with_options(
+                AnalysisOptions::new()
+                    .with_backend(Backend::Auto)
+                    .with_jobs(jobs),
+            );
+            (
+                analyzer.worst_case_error().unwrap(),
+                analyzer.bit_flip_error().unwrap(),
+            )
+        };
+        let serial = reports(1);
+        for jobs in [2, test_jobs()] {
+            assert_eq!(reports(jobs), serial, "{name} jobs={jobs}");
+        }
+    }
 }
 
 #[test]
