@@ -1,26 +1,30 @@
 //! Precise error determination for combinational candidates.
 //!
-//! The worst-case metrics are computed **exactly** by a counterexample-
-//! guided search over one encoding of the error word: each SAT probe
-//! asks "can the error exceed T", a SAT answer yields a concrete input
-//! whose actual error tightens the lower bound, an UNSAT answer tightens
-//! the upper bound. The probes run on the same warm threshold engine as
-//! the sequential searches, at horizon 0. Exhaustive sweeps serve as
-//! oracles for small circuits and provide the average-case metrics (MAE,
-//! error rate) that have no polynomial SAT formulation.
+//! A combinational query is a word query at horizon 0 on the shared
+//! route of [`crate::route`]: the static screen, the BDD word-maximum
+//! walk of "Optimization of BDD-based Approximation Error Metrics
+//! Calculations" (2205.03267), then the counterexample-guided search of
+//! a threshold engine, whose SAT probes ask "can the error exceed T" and
+//! whose witnesses' actual errors raise the lower bound. The MSB scan and
+//! the error-input count probe the same engine at threshold 0. Exhaustive
+//! sweeps serve as oracles for small circuits and provide the
+//! average-case metrics (MAE, error rate) that have no polynomial SAT
+//! formulation.
 
 use crate::cache::{cached, metric, CachedResult, QueryKey};
-use crate::engine::{Backend, EngineKind};
+use crate::engine::Backend;
 use crate::options::AnalysisOptions;
 use crate::report::{AnalysisError, AverageMethod, AverageReport, ErrorReport, Partial};
+use crate::route::{self, Screen, WordQuery};
 use crate::threshold::{ThresholdEngine, WordKind};
 use crate::verdict::Verdict;
-use axmc_absint::{static_word_bounds, StaticOutcome, WordBounds, DEFAULT_PROBE_VECTORS};
+use axmc_absint::{static_word_bounds, DEFAULT_PROBE_VECTORS};
 use axmc_aig::{bits_to_u128, sim::for_each_assignment, Aig};
-use axmc_bdd::BuildBddError;
-use axmc_cnf::encode_comb;
+use axmc_bdd::{exact_word_max, BuildBddError};
+use axmc_mc::Trace;
 use axmc_miter::{abs_diff_word_miter, diff_word_miter, nth_bit_miter, popcount_word_miter};
-use axmc_sat::{Interrupt, SolveResult, Solver};
+use axmc_sat::ResourceCtl;
+use std::borrow::Borrow;
 
 /// Widest input count the exhaustive-sweep fallback of
 /// [`CombAnalyzer::average_error`] will attempt (`2^20` evaluations).
@@ -38,12 +42,6 @@ pub(crate) fn word_max(outputs: usize) -> u128 {
     } else {
         (1u128 << outputs) - 1
     }
-}
-
-/// The interrupt a solver reported for its last `Unknown`, defaulting to
-/// the conflict budget when the solver predates interrupt tracking.
-fn interrupt_of(solver: &Solver) -> Interrupt {
-    solver.last_interrupt().unwrap_or(Interrupt::Conflicts)
 }
 
 /// Exact and statistical error analysis of a combinational candidate
@@ -98,30 +96,84 @@ impl<'a> CombAnalyzer<'a> {
     }
 
     /// Replaces the full analysis option bundle (resource control,
-    /// certification, worker count, sweeping).
+    /// certification, backend, BDD node budget, cache).
     pub fn with_options(mut self, options: AnalysisOptions) -> Self {
         self.options = options;
         self
     }
 
-    /// Applies the resource control and certify setting to a freshly
-    /// encoded solver.
-    fn arm(&self, solver: &mut Solver) {
-        solver.configure(&self.options.solver_config());
+    /// `true` when the word queries consult the screen:
+    /// under [`Backend::Auto`] and [`Backend::Static`].
+    fn tiered(&self) -> bool {
+        matches!(self.options.backend, Backend::Auto | Backend::Static)
     }
 
-    /// In certified mode, validates the UNSAT answer `solver` just gave.
-    fn certify_unsat(&self, solver: &Solver, what: &str) -> Result<(), AnalysisError> {
-        if !self.options.certify {
-            return Ok(());
+    /// The screen of one word-output miter: sweeps it (constant
+    /// substitution, re-strashing, dangling-node elimination), then
+    /// bounds its word over the swept miter, whose second ternary
+    /// fixpoint can be tighter than the sweep's. Returns the swept miter
+    /// and the screen; a word wider than 128 bits gets the window
+    /// `[0, max]`.
+    fn screen(&self, miter: &Aig, max: u128) -> (Aig, Screen) {
+        let (swept, report) = axmc_absint::sweep(miter);
+        if axmc_obs::tracing_active() {
+            axmc_obs::emit(
+                axmc_obs::Event::new("absint.screen")
+                    .field("nodes_before", report.nodes_before as u64)
+                    .field("nodes_after", report.nodes_after as u64)
+                    .field("ands_removed", report.ands_removed() as u64),
+            );
         }
-        match axmc_check::certify_unsat(solver) {
-            Ok(_) => Ok(()),
-            Err(e) => Err(AnalysisError::CertificateRejected {
-                engine: "comb".to_string(),
-                detail: format!("UNSAT certificate for {what} failed validation ({e})"),
-            }),
-        }
+        let screen = match static_word_bounds(&swept, DEFAULT_PROBE_VECTORS) {
+            Some(bounds) => Screen {
+                window: bounds.interval,
+                witness: bounds.probe.map(|probe| Trace {
+                    inputs: vec![probe.witness],
+                }),
+            },
+            None => Screen {
+                window: (0, max),
+                witness: None,
+            },
+        };
+        (swept, screen)
+    }
+
+    /// A word query of the pair at horizon 0 on the shared route. Under
+    /// [`Backend::Bdd`] and [`Backend::Auto`] the BDD stage is the exact
+    /// maximum of the unsigned word `word` builds. The `label` search
+    /// reads `miter`'s word as `kind`, at most `max`, and replays each
+    /// witnessing input as `|G − C|` or, for an unsigned word, the number
+    /// of differing output bits.
+    fn run<W: Borrow<Aig>>(
+        &self,
+        (label, kind, max): (&'static str, WordKind, u128),
+        screen: Option<Screen>,
+        word: impl FnOnce() -> W,
+        miter: impl FnOnce() -> Aig,
+    ) -> Result<ErrorReport<u128>, AnalysisError> {
+        let limit = self.options.bdd_node_limit;
+        let bdd = matches!(self.options.backend, Backend::Bdd | Backend::Auto)
+            .then_some(|ctl: &ResourceCtl| exact_word_max(word().borrow(), 1, true, limit, ctl));
+        let (options, pair) = (&self.options, (self.golden, self.candidate));
+        let query = WordQuery {
+            options,
+            pair,
+            label,
+            kind,
+            k: 0,
+            max,
+        };
+        let report = query.run(screen, bdd, miter, |trace| {
+            let input = &trace.inputs[0];
+            let g = bits_to_u128(&self.golden.eval_comb(input));
+            let c = bits_to_u128(&self.candidate.eval_comb(input));
+            match kind {
+                WordKind::SignedDiff => g.abs_diff(c),
+                WordKind::Unsigned => (g ^ c).count_ones().into(),
+            }
+        })?;
+        Ok(report.map(|values| values[0]))
     }
 
     /// One threshold query: can `|int(G) - int(C)| > threshold`?
@@ -158,15 +210,12 @@ impl<'a> CombAnalyzer<'a> {
                 done => Some(CachedResult::CombVerdict(done.clone())),
             },
             || {
-                if self.static_tier_active() {
+                let screen = self.tiered().then(|| {
                     let abs = abs_diff_word_miter(self.golden, self.candidate);
-                    let (_, bounds) = self.screen_word_miter(&abs);
-                    if let Some(verdict) = self.static_verdict(bounds, threshold) {
-                        return Ok(verdict);
-                    }
-                }
-                let miter = diff_word_miter(self.golden, self.candidate).compact();
-                self.probe_word(miter, WordKind::SignedDiff, threshold)
+                    self.screen(&abs, word_max(self.golden.num_outputs())).1
+                });
+                let miter = || diff_word_miter(self.golden, self.candidate).compact();
+                self.probe(screen, miter, WordKind::SignedDiff, threshold)
             },
         )
     }
@@ -183,102 +232,22 @@ impl<'a> CombAnalyzer<'a> {
         threshold: u32,
     ) -> Result<Verdict<Vec<bool>>, AnalysisError> {
         let miter = popcount_word_miter(self.golden, self.candidate).compact();
-        if self.static_tier_active() {
-            let (_, bounds) = self.screen_word_miter(&miter);
-            if let Some(verdict) = self.static_verdict(bounds, threshold.into()) {
-                return Ok(verdict);
-            }
-        }
-        self.probe_word(miter, WordKind::Unsigned, threshold.into())
+        let max = self.golden.num_outputs() as u128;
+        let screen = self.tiered().then(|| self.screen(&miter, max).1);
+        self.probe(screen, || miter, WordKind::Unsigned, threshold.into())
     }
 
-    /// The static tier's answer to a threshold query over a screened
-    /// word, if it has one: a verdict when the interval or a probe decides
-    /// it, and under [`Backend::Static`], which launches no solver, the
-    /// certified interval as an `Interrupted` verdict with no reason.
-    fn static_verdict(
+    /// A threshold probe of the pair at horizon 0 on the shared route;
+    /// a witness is an input.
+    fn probe(
         &self,
-        bounds: Option<WordBounds>,
-        threshold: u128,
-    ) -> Option<Verdict<Vec<bool>>> {
-        match bounds.as_ref().map(|b| b.outcome(threshold)) {
-            Some(StaticOutcome::Proved) => {
-                axmc_obs::counter("absint.decided").inc();
-                return Some(Verdict::Proved);
-            }
-            Some(StaticOutcome::Refuted { witness, .. }) => {
-                axmc_obs::counter("absint.decided").inc();
-                return Some(Verdict::Refuted { witness });
-            }
-            Some(StaticOutcome::Undecided) | None => {}
-        }
-        (self.options.backend == Backend::Static).then(|| {
-            let (lo, hi) = bounds.map_or((0, u128::MAX), |b| b.interval);
-            Verdict::Interrupted {
-                best_so_far: Partial {
-                    reason: None,
-                    known_low: lo,
-                    known_high: hi,
-                    completed_bound: None,
-                },
-            }
-        })
-    }
-
-    /// One probe of a threshold engine at horizon 0: can `miter`'s word,
-    /// read as `kind`, exceed `threshold`? A witness is an input
-    /// assignment.
-    fn probe_word(
-        &self,
-        miter: Aig,
+        screen: Option<Screen>,
+        miter: impl FnOnce() -> Aig,
         kind: WordKind,
         threshold: u128,
     ) -> Result<Verdict<Vec<bool>>, AnalysisError> {
-        let mut engine = ThresholdEngine::new(miter, kind, &self.options);
-        Ok(engine
-            .probe(threshold, 0)?
-            .map(|mut trace| trace.inputs.swap_remove(0)))
-    }
-
-    /// `true` when the static pre-analysis tier is consulted before any
-    /// solver work: always under [`Backend::Static`], and under
-    /// [`Backend::Auto`] unless [`AnalysisOptions::static_tier`] turned
-    /// it off.
-    fn static_tier_active(&self) -> bool {
-        self.options.backend == Backend::Static
-            || (self.options.backend == Backend::Auto && self.options.static_tier)
-    }
-
-    /// The static tier over one word-output miter: sweeps it (constant
-    /// substitution, re-strashing, dangling-node elimination) and
-    /// computes the certified `[lo, hi]` interval on its output word.
-    /// Returns the swept miter — the one handed to the solvers when the
-    /// interval does not decide the query — and the bounds (`None` when
-    /// the word is wider than 128 bits).
-    fn screen_word_miter(&self, miter: &Aig) -> (Aig, Option<WordBounds>) {
-        let (swept, report) = axmc_absint::sweep(miter);
-        if axmc_obs::tracing_active() {
-            axmc_obs::emit(
-                axmc_obs::Event::new("absint.screen")
-                    .field("nodes_before", report.nodes_before as u64)
-                    .field("nodes_after", report.nodes_after as u64)
-                    .field("ands_removed", report.ands_removed() as u64),
-            );
-        }
-        let bounds = static_word_bounds(&swept, DEFAULT_PROBE_VECTORS);
-        (swept, bounds)
-    }
-
-    /// The undecided outcome of an analysis-only static run: the
-    /// certified interval as anytime knowledge, no interrupt reason.
-    fn static_undecided<T>(bounds: Option<WordBounds>) -> Result<T, AnalysisError> {
-        let (lo, hi) = bounds.map_or((0, u128::MAX), |b| b.interval);
-        Err(AnalysisError::Interrupted(Partial {
-            reason: None,
-            known_low: lo,
-            known_high: hi,
-            completed_bound: None,
-        }))
+        let verdict = route::probe(&self.options, screen, miter, kind, threshold, 0)?;
+        Ok(verdict.map(|mut trace| trace.inputs.swap_remove(0)))
     }
 
     /// The exact worst-case error, through the backend selected by
@@ -307,80 +276,38 @@ impl<'a> CombAnalyzer<'a> {
             |r| Some(CachedResult::Wide(*r)),
             || {
                 let max = word_max(self.golden.num_outputs());
-                // The SAT search wants the signed difference word
-                // (comparators attach per probe); the BDD walk maximizes
-                // an unsigned word, so it gets the absolute-value form.
-                // The SAT side builds its miter only when it runs.
-                let sat = |window| {
+                // The BDD walk maximizes an unsigned word, so it reads
+                // `|G − C|`; the SAT search wants the signed difference
+                // (comparators attach per probe) and builds it only when
+                // it runs.
+                let (abs, screen) = if self.tiered() {
+                    let abs = abs_diff_word_miter(self.golden, self.candidate);
+                    let (swept, screen) = self.screen(&abs, max);
+                    (Some(swept), Some(screen))
+                } else {
+                    (None, None)
+                };
+                let word = || {
+                    abs.unwrap_or_else(|| {
+                        abs_diff_word_miter(self.golden, self.candidate).compact()
+                    })
+                };
+                let miter = || {
                     let miter = diff_word_miter(self.golden, self.candidate);
-                    let miter = if self.static_tier_active() {
+                    if self.tiered() {
                         axmc_absint::sweep(&miter).0
                     } else {
                         miter.compact()
-                    };
-                    self.sat_search("comb.wce", &miter, WordKind::SignedDiff, max, window)
+                    }
                 };
-                // The static tier first: a pinned interval is the exact
-                // value with no solver launched at all; an open one
-                // still shrinks the search window and sweeps the miter.
-                if self.static_tier_active() {
-                    let abs = abs_diff_word_miter(self.golden, self.candidate);
-                    let (abs_swept, bounds) = self.screen_word_miter(&abs);
-                    if let Some(b) = &bounds {
-                        if b.is_exact() {
-                            axmc_obs::counter("absint.decided").inc();
-                            return Ok(static_report(b.interval.0));
-                        }
-                    }
-                    if self.options.backend == Backend::Static {
-                        return Self::static_undecided(bounds);
-                    }
-                    let window = bounds.map_or((0, max), |b| b.interval);
-                    return self.run_backend(|| sat(window), || self.bdd_word_max(&abs_swept));
-                }
-                self.run_backend(
-                    || sat((0, max)),
-                    || {
-                        let abs = abs_diff_word_miter(self.golden, self.candidate).compact();
-                        self.bdd_word_max(&abs)
-                    },
-                )
+                self.run(("comb.wce", WordKind::SignedDiff, max), screen, word, miter)
             },
         )
     }
 
-    /// The SAT engine shared by both worst-case metrics: the frame-major
-    /// search of a threshold engine at horizon 0 over the word miter,
-    /// from `window`. Witnesses are replayed on both circuits.
-    fn sat_search(
-        &self,
-        label: &str,
-        miter: &Aig,
-        kind: WordKind,
-        max: u128,
-        window: (u128, u128),
-    ) -> Result<ErrorReport<u128>, AnalysisError> {
-        let mut engine = ThresholdEngine::new(miter.clone(), kind, &self.options);
-        let (values, sat_calls) = engine.search(label, 0, max, window, |trace| {
-            let input = &trace.inputs[0];
-            let g = bits_to_u128(&self.golden.eval_comb(input));
-            let c = bits_to_u128(&self.candidate.eval_comb(input));
-            match kind {
-                WordKind::SignedDiff => g.abs_diff(c),
-                WordKind::Unsigned => (g ^ c).count_ones().into(),
-            }
-        })?;
-        Ok(ErrorReport {
-            value: values[0],
-            sat_calls,
-            conflicts: engine.conflicts(),
-            engine: EngineKind::Sat,
-        })
-    }
-
     /// The exact worst-case Hamming distance (bit-flip error), through
     /// the selected backend (see [`CombAnalyzer::worst_case_error`] for
-    /// the dispatch semantics).
+    /// the schedule).
     ///
     /// # Errors
     ///
@@ -405,171 +332,18 @@ impl<'a> CombAnalyzer<'a> {
             |r| Some(CachedResult::Narrow(*r)),
             || {
                 let max = self.golden.num_outputs() as u128;
-                let mut miter = popcount_word_miter(self.golden, self.candidate).compact();
-                let mut window = (0, max);
-                if self.static_tier_active() {
-                    let (swept, bounds) = self.screen_word_miter(&miter);
-                    if let Some(b) = &bounds {
-                        if b.is_exact() {
-                            axmc_obs::counter("absint.decided").inc();
-                            return Ok(static_report(b.interval.0 as u32));
-                        }
-                    }
-                    if self.options.backend == Backend::Static {
-                        return Self::static_undecided(bounds);
-                    }
-                    window = bounds.map_or(window, |b| b.interval);
-                    miter = swept;
-                }
-                self.run_backend(
-                    || {
-                        let report = self.sat_search(
-                            "comb.bit_flip",
-                            &miter,
-                            WordKind::Unsigned,
-                            max,
-                            window,
-                        )?;
-                        Ok(report.map(|value| value as u32))
-                    },
-                    || self.bdd_word_max(&miter).map(|v| v as u32),
-                )
+                let miter = popcount_word_miter(self.golden, self.candidate).compact();
+                let (miter, screen) = if self.tiered() {
+                    let (swept, screen) = self.screen(&miter, max);
+                    (swept, Some(screen))
+                } else {
+                    (miter, None)
+                };
+                let query = ("comb.bit_flip", WordKind::Unsigned, max);
+                let report = self.run(query, screen, || &miter, || miter.clone())?;
+                Ok(report.map(|value| value as u32))
             },
         )
-    }
-
-    /// The BDD engine shared by both worst-case metrics: the exact
-    /// maximum of the miter's output word.
-    fn bdd_word_max(&self, miter: &Aig) -> BddAttempt<u128> {
-        let ctl = &self.options.ctl;
-        match axmc_bdd::exact_word_max(miter, 1, true, self.options.bdd_node_limit, ctl) {
-            Ok((value, nodes)) => BddAttempt::Exact {
-                value: value[0],
-                nodes,
-            },
-            Err(e) => BddAttempt::from_error(e),
-        }
-    }
-
-    /// Backend dispatch shared by the worst-case metrics: the SAT engine,
-    /// or the BDD engine under its node budget with SAT behind it.
-    ///
-    /// Both engines compute the *exact* metric, so whichever answers is
-    /// authoritative. A BDD node-budget blow-up is not an answer: it
-    /// degrades to SAT rather than erroring. An outer limit that fires
-    /// mid-BDD ends a `Bdd` query; under `Auto` the SAT engine, which
-    /// observes the same limits, returns the typed anytime result. Every
-    /// engine runs under the caller's control, one after the other, so
-    /// the report never depends on `jobs`.
-    fn run_backend<T>(
-        &self,
-        sat: impl FnOnce() -> Result<ErrorReport<T>, AnalysisError>,
-        bdd: impl FnOnce() -> BddAttempt<T>,
-    ) -> Result<ErrorReport<T>, AnalysisError> {
-        if axmc_obs::tracing_active() {
-            // Structural fingerprints identify the analyzed cone pair
-            // across runs (cache keys, run-to-run identity in reports);
-            // computed only when a trace is actually recorded.
-            axmc_obs::emit(
-                axmc_obs::Event::new("analysis.query")
-                    .field("golden_fp", self.golden.fingerprint())
-                    .field("candidate_fp", self.candidate.fingerprint())
-                    .field("inputs", self.golden.num_inputs() as u64)
-                    .field("backend", format!("{}", self.options.backend)),
-            );
-        }
-        let timed_sat = || {
-            axmc_obs::counter("engine.selected.sat").inc();
-            let _span = axmc_obs::span("engine.sat.time_us");
-            sat()
-        };
-        let attempt = match self.options.backend {
-            Backend::Static => {
-                unreachable!("the static tier decides Backend::Static before engine dispatch")
-            }
-            Backend::Sat => return timed_sat(),
-            Backend::Bdd | Backend::Auto => {
-                let _span = axmc_obs::span("engine.bdd.time_us");
-                bdd()
-            }
-        };
-        match attempt {
-            BddAttempt::Exact { value, nodes } => {
-                axmc_obs::histogram("bdd.nodes").record(nodes as u64);
-                axmc_obs::counter("engine.selected.bdd").inc();
-                Ok(bdd_report(value))
-            }
-            BddAttempt::Unavailable => {
-                axmc_obs::counter("engine.fallback").inc();
-                timed_sat()
-            }
-            BddAttempt::Interrupted(reason) if self.options.backend == Backend::Bdd => {
-                Err(AnalysisError::interrupted(reason))
-            }
-            BddAttempt::Interrupted(_) => timed_sat(),
-        }
-    }
-}
-
-/// Outcome of one BDD engine attempt inside the backend dispatch.
-enum BddAttempt<T> {
-    /// The exact metric value, with the peak BDD node count.
-    Exact {
-        /// The metric value.
-        value: T,
-        /// Peak node count of the manager.
-        nodes: usize,
-    },
-    /// The BDD cannot answer here (node budget or counting width):
-    /// degrade to SAT.
-    Unavailable,
-    /// A resource limit stopped the attempt.
-    Interrupted(Interrupt),
-}
-
-impl BddAttempt<u128> {
-    /// Maps the value of an `Exact` outcome.
-    fn map<U>(self, f: impl FnOnce(u128) -> U) -> BddAttempt<U> {
-        match self {
-            BddAttempt::Exact { value, nodes } => BddAttempt::Exact {
-                value: f(value),
-                nodes,
-            },
-            BddAttempt::Unavailable => BddAttempt::Unavailable,
-            BddAttempt::Interrupted(r) => BddAttempt::Interrupted(r),
-        }
-    }
-}
-
-impl<T> BddAttempt<T> {
-    /// Classifies a build error: blow-ups degrade, interrupts propagate.
-    fn from_error(e: BuildBddError) -> Self {
-        match e {
-            BuildBddError::SizeLimit { .. } | BuildBddError::WidthLimit { .. } => {
-                BddAttempt::Unavailable
-            }
-            BuildBddError::Interrupted(reason) => BddAttempt::Interrupted(reason),
-        }
-    }
-}
-
-/// An [`ErrorReport`] produced by the BDD engine: no SAT effort spent.
-pub(crate) fn bdd_report<T>(value: T) -> ErrorReport<T> {
-    ErrorReport {
-        value,
-        sat_calls: 0,
-        conflicts: 0,
-        engine: EngineKind::Bdd,
-    }
-}
-
-/// An [`ErrorReport`] decided by the static tier: no solver launched.
-pub(crate) fn static_report<T>(value: T) -> ErrorReport<T> {
-    ErrorReport {
-        value,
-        sat_calls: 0,
-        conflicts: 0,
-        engine: EngineKind::Static,
     }
 }
 
@@ -654,7 +428,8 @@ impl<'a> CombAnalyzer<'a> {
     /// equivalent — the classic n-th-bit scan. The candidate's worst-case
     /// error is below `2^(bit + 1)`.
     ///
-    /// Scans from the MSB down, one single-bit miter per step; each miter
+    /// Scans from the MSB down, one single-bit miter per step, asked by
+    /// one probe at threshold 0 of a threshold engine; each miter
     /// contains only the scanned bit's logic cones, which is what makes
     /// the scan cheap compared to a full arithmetic miter. Under
     /// [`Backend::Static`] each bit's XOR goes to the static tier
@@ -668,40 +443,29 @@ impl<'a> CombAnalyzer<'a> {
     /// every bit *above* the stopped one was proven clean, so
     /// `known_high` is `2^(bit + 1) - 1` for the bit under scan.
     pub fn most_significant_error_bit(&self) -> Result<Option<usize>, AnalysisError> {
-        let stopped = |reason, bit: usize| {
-            AnalysisError::Interrupted(Partial {
-                reason,
-                known_low: 0,
-                known_high: word_max(bit + 1),
-                completed_bound: None,
-            })
-        };
+        let analysis_only = self.options.backend == Backend::Static;
         for bit in (0..self.golden.num_outputs()).rev() {
             let miter = nth_bit_miter(self.golden, self.candidate, bit);
-            if self.options.backend == Backend::Static {
-                let (_, bounds) = self.screen_word_miter(&miter);
-                match self.static_verdict(bounds, 0) {
-                    Some(Verdict::Proved) => continue,
-                    Some(Verdict::Refuted { .. }) => return Ok(Some(bit)),
-                    _ => return Err(stopped(None, bit)),
+            let screen = analysis_only.then(|| self.screen(&miter, 1).1);
+            match self.probe(screen, || miter, WordKind::Unsigned, 0)? {
+                Verdict::Proved => continue,
+                Verdict::Refuted { .. } => return Ok(Some(bit)),
+                Verdict::Interrupted { best_so_far } => {
+                    return Err(AnalysisError::Interrupted(Partial {
+                        known_low: 0,
+                        known_high: word_max(bit + 1),
+                        ..best_so_far
+                    }))
                 }
-            }
-            let (mut solver, enc) = encode_comb(&miter);
-            self.arm(&mut solver);
-            match solver.solve_with_assumptions(&[enc.outputs[0]]) {
-                SolveResult::Sat => return Ok(Some(bit)),
-                SolveResult::Unsat => {
-                    self.certify_unsat(&solver, "an nth-bit miter query")?;
-                    continue;
-                }
-                SolveResult::Unknown => return Err(stopped(Some(interrupt_of(&solver)), bit)),
             }
         }
         Ok(None)
     }
 
     /// Counts distinct input assignments on which the circuits disagree,
-    /// up to `limit`, by SAT model enumeration with blocking clauses.
+    /// up to `limit`, by model enumeration on a threshold engine over the
+    /// strict miter: each probe at threshold 0 that finds an erring input
+    /// blocks it with a clause over the engine's frame-0 inputs.
     ///
     /// Returns `Ok(ErrorInputCount::Exactly(n))` when the enumeration
     /// exhausts all erroneous inputs below the limit — an **exact** error
@@ -719,47 +483,31 @@ impl<'a> CombAnalyzer<'a> {
     pub fn count_error_inputs(&self, limit: u64) -> Result<ErrorInputCount, AnalysisError> {
         let miter = axmc_miter::strict_miter(self.golden, self.candidate).compact();
         if self.options.backend == Backend::Static {
-            let (_, bounds) = self.screen_word_miter(&miter);
-            if bounds.is_some_and(|b| b.interval.1 == 0) {
+            if self.screen(&miter, 1).1.window.1 == 0 {
                 axmc_obs::counter("absint.decided").inc();
                 return Ok(ErrorInputCount::Exactly(0));
             }
-            return Self::static_undecided(None);
+            return Err(AnalysisError::Interrupted(route::partial(
+                None,
+                (0, u128::MAX),
+            )));
         }
-        let (mut solver, enc) = encode_comb(&miter);
-        self.arm(&mut solver);
+        let mut engine = ThresholdEngine::new(miter, WordKind::Unsigned, &self.options);
         let mut count = 0u64;
         while count < limit {
-            match solver.solve_with_assumptions(&[enc.outputs[0]]) {
-                SolveResult::Sat => {
+            match engine.probe(0, 0)? {
+                Verdict::Refuted { witness } => {
                     count += 1;
-                    // Block this input assignment.
-                    let blocking: Vec<axmc_sat::Lit> = enc
-                        .inputs
-                        .iter()
-                        .map(|&l| {
-                            if solver.model_lit(l).unwrap_or(false) {
-                                !l
-                            } else {
-                                l
-                            }
-                        })
-                        .collect();
-                    if !solver.add_clause(&blocking) {
+                    if !engine.block_inputs(&witness.inputs[0]) {
                         // Blocking made the instance trivially unsat.
                         return Ok(ErrorInputCount::Exactly(count));
                     }
                 }
-                SolveResult::Unsat => {
-                    self.certify_unsat(&solver, "the error-input enumeration closure")?;
-                    return Ok(ErrorInputCount::Exactly(count));
-                }
-                SolveResult::Unknown => {
+                Verdict::Proved => return Ok(ErrorInputCount::Exactly(count)),
+                Verdict::Interrupted { best_so_far } => {
                     return Err(AnalysisError::Interrupted(Partial {
-                        reason: Some(interrupt_of(&solver)),
-                        known_low: count as u128,
-                        known_high: u128::MAX,
-                        completed_bound: None,
+                        known_low: count.into(),
+                        ..best_so_far
                     }))
                 }
             }
@@ -906,8 +654,9 @@ pub fn sampled_stats(golden: &Aig, candidate: &Aig, samples: u64, seed: u64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineKind;
     use axmc_circuit::{approx, generators};
-    use axmc_sat::{Budget, CancelToken};
+    use axmc_sat::{Budget, CancelToken, Interrupt};
     use std::time::Duration;
 
     #[test]
@@ -1290,12 +1039,9 @@ mod tests {
                 .with_options(AnalysisOptions::new().with_backend(Backend::Auto))
                 .worst_case_error()
                 .unwrap();
+            // `Bdd` is `Auto` without the static tier.
             let without_tier = CombAnalyzer::new(&golden, &candidate)
-                .with_options(
-                    AnalysisOptions::new()
-                        .with_backend(Backend::Auto)
-                        .with_static_tier(false),
-                )
+                .with_options(AnalysisOptions::new().with_backend(Backend::Bdd))
                 .worst_case_error()
                 .unwrap();
             assert_eq!(with_tier.value, without_tier.value);

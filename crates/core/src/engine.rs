@@ -1,5 +1,6 @@
 //! Backend selection for the combinational analyses: SAT, BDD, or an
-//! `Auto` schedule that stages both.
+//! `Auto` schedule that stages both, each one way of running the shared
+//! route of `crate::route`.
 //!
 //! The two engines are complementary in exactly the way the classic
 //! literature predicts: the CEGIS threshold search over SAT miters is
@@ -31,19 +32,17 @@ pub enum Backend {
     Sat,
     /// The ROBDD engine: characteristic-function maximization for the
     /// worst-case metrics, exact model counting for the average-case
-    /// ones. Falls back to SAT when the BDD exceeds its node budget.
+    /// ones. Falls back to SAT when the BDD exceeds its node budget or
+    /// only the per-call timeout stopped it; `--certify` keeps the
+    /// worst-case metrics on SAT, whose UNSATs the checker validates.
     Bdd,
-    /// Stage both engines: the BDD under its node budget first, then SAT
-    /// when the BDD blows the budget or an outer limit interrupts it
-    /// (the SAT engine then returns the typed anytime result). The BDD
-    /// attempt either finishes fast (adder-class) or fails fast on its
-    /// budget (multiplier-class). Before anything is launched the static
-    /// tier (ternary abstract interpretation plus concrete probing,
-    /// `axmc-absint`) is consulted: a query it decides never touches a
-    /// solver, and one it cannot decide proceeds on the swept (reduced)
-    /// miter with the certified interval seeding the threshold-search
-    /// window. The schedule is the same at every worker count, so the
-    /// report is too.
+    /// `Bdd`'s schedule behind the static tier (ternary abstract
+    /// interpretation plus concrete probing, `axmc-absint`): a query it
+    /// decides never touches a solver, and one it cannot decide proceeds
+    /// on the swept (reduced) miter with the certified interval as the
+    /// search window. The BDD either finishes fast (adder-class) or
+    /// fails fast on its budget (multiplier-class). The schedule is the
+    /// same at every worker count, so the report is too.
     Auto,
     /// The static tier alone: ternary abstract interpretation, concrete
     /// simulation probing, and nothing else. Queries it cannot decide

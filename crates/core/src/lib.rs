@@ -70,6 +70,7 @@ mod comb;
 mod engine;
 mod options;
 mod report;
+mod route;
 mod seq;
 mod threshold;
 mod verdict;

@@ -1,9 +1,6 @@
-//! The one shared bundle of analysis knobs.
-//!
-//! Budget/certify/jobs used to drift independently across
-//! `CombAnalyzer`, `SeqAnalyzer`, `InductionOptions` and the CGP search
-//! options. [`AnalysisOptions`] consolidates them: both analyzers accept
-//! it via `with_options`.
+//! The one shared bundle of analysis knobs: both analyzers accept an
+//! [`AnalysisOptions`] via `with_options`, and every word query reads it
+//! through the shared route.
 
 use crate::cache::CacheHandle;
 use crate::engine::{Backend, DEFAULT_BDD_NODE_LIMIT};
@@ -34,11 +31,6 @@ pub struct AnalysisOptions {
     /// before any solver work (see [`crate::cache`]). `None` (the
     /// default) computes every query.
     pub cache: Option<CacheHandle>,
-    /// Consult the static tier (ternary abstract interpretation +
-    /// concrete probing) before launching solvers under
-    /// [`Backend::Auto`]. On by default; disable to reproduce the
-    /// solver-only portfolio behaviour bit for bit.
-    pub static_tier: bool,
     /// Run the solver's between-solves inprocessing pass (subsumption,
     /// self-subsuming resolution, vivification) inside every SAT engine
     /// the analysis spawns. Off by default: inprocessing changes solver
@@ -55,7 +47,6 @@ impl Default for AnalysisOptions {
             backend: Backend::default(),
             bdd_node_limit: DEFAULT_BDD_NODE_LIMIT,
             cache: None,
-            static_tier: true,
             inprocess: false,
         }
     }
@@ -131,13 +122,6 @@ impl AnalysisOptions {
         self
     }
 
-    /// Enables or disables the static pre-analysis tier under
-    /// [`Backend::Auto`].
-    pub fn with_static_tier(mut self, on: bool) -> Self {
-        self.static_tier = on;
-        self
-    }
-
     /// Enables or disables solver inprocessing (see
     /// [`axmc_sat::InprocessConfig`]).
     pub fn with_inprocessing(mut self, on: bool) -> Self {
@@ -179,14 +163,6 @@ mod tests {
     #[test]
     fn zero_jobs_means_serial() {
         assert_eq!(AnalysisOptions::new().with_jobs(0).jobs, 1);
-    }
-
-    #[test]
-    fn static_tier_builder() {
-        let opts = AnalysisOptions::new();
-        assert!(opts.static_tier, "static tier is on by default");
-        let opts = opts.with_static_tier(false);
-        assert!(!opts.static_tier);
     }
 
     #[test]

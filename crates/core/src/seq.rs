@@ -29,15 +29,10 @@
 //!
 //! # Threshold searches
 //!
-//! Every threshold probe and every SAT search here — WCE, bit-flip,
-//! profile, total error and error cycles — runs on one warm
-//! [`ThresholdEngine`](crate::threshold) over a word form of its miter:
-//! the product machine is unrolled into one incremental solver, and a
-//! probe "can the per-cycle word exceed `t` in any cycle `<= h`?" asks
-//! the frames one at a time, first frame first, keeping each proven
-//! frame bound as a derived unit.
-//!
-//! The searches are **frame-major**: they settle the horizons
+//! Every threshold probe and SAT search here runs on one warm
+//! [`ThresholdEngine`](crate::threshold) over a word form of its miter,
+//! whose probes ask the frames one at a time, first frame first. The
+//! searches are **frame-major**: they settle the horizons
 //! `h = 0, 1, …, k` in order, each by a galloping search that starts from
 //! the exact value at `h - 1`, a witnessed floor. The proving probe that
 //! ends horizon `h - 1` leaves every earlier frame bounded at exactly that
@@ -60,16 +55,16 @@
 //! Searches are serial, so every report (value, probes, conflicts) is the
 //! same for every `jobs` value.
 //!
-//! # The static screen
+//! # The route
 //!
-//! Each word query builds its miter once, compacts it and, with the
-//! static tier on, runs one ternary fixpoint over it. The fixpoint gives
-//! both the word's interval over every reachable cycle and the sweep the
-//! engine unrolls. A signed difference word is decided only when it is
-//! all zero; an unsigned word (popcount, running total, cycle count) is
-//! decided when its interval is a point, and otherwise seeds the search
-//! window. Under [`Backend::Static`] an undecided query returns the
-//! interval and no engine runs.
+//! Every word query takes the shared route of [`crate::route`]. Its
+//! screen builds the miter once, compacts it and runs one ternary
+//! fixpoint over it, which gives both the word's interval over every
+//! reachable cycle and the sweep the engines get. A signed difference
+//! word is decided only when it is all zero; an unsigned word (popcount,
+//! running total, cycle count) is decided when its interval is a point,
+//! and otherwise seeds the search window. Its BDD stage is the expansion
+//! route below, whatever the backend; its SAT miter is the screened one.
 //!
 //! # Feed-forward pairs: the expansion route
 //!
@@ -86,47 +81,29 @@
 //! case, so a bound at or above it is proved with no induction; a bound
 //! below it goes to k-induction, which refutes it in its base case.
 //!
-//! The variable order keeps the frame copies of each input adjacent.
-//! Within a frame the two operand halves are interleaved when the
-//! golden's least significant output bit depends on input `n / 2` (two
-//! operands combined bit by bit: the registered ALU and multiplier), and
-//! kept in natural order otherwise (one word through a delay line: the
-//! FIR); each order blows up on the other family.
-//!
-//! The route takes only uncertified queries (a BDD answer carries no
-//! DRAT certificate) and ignores `backend`, which selects combinational
-//! engines. A blown node budget (`bdd_node_limit`) falls back to the SAT
-//! search; a fired deadline or cancellation returns `Interrupted` without
-//! one. Threshold probes ([`SeqProbe`], `check_error_exceeds`), earliest
-//! error and every feedback pair stay on SAT: with no depth bound the
-//! expansion grows with `k`, and its BDD with it.
+//! The variable order keeps the frame copies of each input adjacent, and
+//! interleaves two operands combined bit by bit within a frame (the order
+//! rule of `interleaves_operands`). The bound proof runs the same BDD
+//! stage as the word queries. Threshold probes ([`SeqProbe`],
+//! `check_error_exceeds`), earliest error and every feedback pair stay on
+//! SAT: with no depth bound the expansion grows with `k`, and its BDD
+//! with it.
 
 use crate::cache::{cached, metric, CachedResult, QueryKey};
-use crate::comb::{bdd_report, static_report, word_max};
-use crate::engine::{Backend, EngineKind};
+use crate::comb::word_max;
+use crate::engine::Backend;
 use crate::options::AnalysisOptions;
 use crate::report::{AnalysisError, ErrorProfile, ErrorReport, Partial};
+use crate::route::{self, BddMaxima, Screen, WordQuery};
 use crate::threshold::{ThresholdEngine, WordKind};
 use crate::verdict::Verdict;
-use axmc_aig::{bits_to_u128, Aig, Simulator};
-use axmc_bdd::BuildBddError;
-use axmc_mc::{prove_invariant, Bmc, BmcOptions, BmcResult, InductionOptions, ProofResult, Trace};
+use axmc_aig::{bits_to_u128, Aig, Simulator, Word};
+use axmc_mc::{prove_invariant, Bmc, BmcResult, InductionOptions, ProofResult, Trace};
 use axmc_miter::{
     accumulated_error_miter, error_cycle_count_miter, sequential_diff_miter,
     sequential_diff_word_miter, sequential_popcount_word_miter, sequential_strict_miter,
 };
 use axmc_sat::{Certificate, ResourceCtl};
-
-/// What the static screen leaves of a sequential word query (see the
-/// module docs).
-enum Screen {
-    /// The word is pinned to this value in every reachable cycle.
-    Decided(u128),
-    /// An engine has to run over `miter` (compacted, and swept when the
-    /// static tier is on), within `window`: a witnessed floor and a
-    /// sound ceiling that hold in every cycle.
-    Open { miter: Aig, window: (u128, u128) },
-}
 
 /// The result of the earliest-error analysis.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -185,37 +162,18 @@ impl<'a> SeqAnalyzer<'a> {
     }
 
     /// Replaces the full analysis option bundle (resource control,
-    /// certification, worker count, sweeping).
+    /// certification, BDD node budget, cache).
     pub fn with_options(mut self, options: AnalysisOptions) -> Self {
         self.options = options;
         self
     }
 
-    /// Whether the static pre-analysis tier runs before solver work.
-    fn static_tier_active(&self) -> bool {
-        self.options.static_tier || self.options.backend == Backend::Static
-    }
-
-    /// The largest `|error|` the output word can show.
-    fn word_max(&self) -> u128 {
-        word_max(self.golden.num_outputs())
-    }
-
     /// The static screen of one word query (see the module docs): the
-    /// word of `miter` is read as `kind` and is at most `max`.
-    ///
-    /// # Errors
-    ///
-    /// Under [`Backend::Static`], which launches no engine, an undecided
-    /// query gets the word's interval with no interrupt reason.
-    fn screen(&self, miter: Aig, kind: WordKind, max: u128) -> Result<Screen, Partial> {
+    /// word of `miter` is read as `kind` and is at most `max`. Returns
+    /// the miter an engine gets, compacted, and swept when the screen
+    /// leaves the query to the engines.
+    fn screen(&self, miter: Aig, kind: WordKind, max: u128) -> (Aig, Screen) {
         let miter = miter.compact();
-        if !self.static_tier_active() {
-            return Ok(Screen::Open {
-                miter,
-                window: (0, max),
-            });
-        }
         let analysis = axmc_absint::TernaryAnalysis::fixpoint(&miter);
         // The bits proven constant hold in every reachable state, so the
         // word is at least the floor and at most the ceiling in every
@@ -226,63 +184,53 @@ impl<'a> SeqAnalyzer<'a> {
             (WordKind::Unsigned, Some((lo, hi))) => (lo.min(max), hi.min(max)),
             _ => (0, max),
         };
-        if window.0 == window.1 {
-            axmc_obs::counter("absint.decided").inc();
-            return Ok(Screen::Decided(window.0));
+        // The floor holds in every cycle of every run, so any trace
+        // reaches it.
+        let witness = (window.0 > 0).then(|| Trace {
+            inputs: vec![vec![false; miter.num_inputs()]],
+        });
+        let screen = Screen { window, witness };
+        if window.0 == window.1 || self.options.backend == Backend::Static {
+            return (miter, screen);
         }
-        if self.options.backend == Backend::Static {
-            return Err(Partial {
-                reason: None,
-                known_low: window.0,
-                known_high: window.1,
-                completed_bound: None,
-            });
-        }
-        let (miter, _) = axmc_absint::sweep_with(&miter, &analysis);
-        Ok(Screen::Open { miter, window })
+        (axmc_absint::sweep_with(&miter, &analysis).0, screen)
     }
 
     /// The static screen of the signed difference word.
-    fn diff_screen(&self) -> Result<Screen, Partial> {
+    fn diff_screen(&self) -> (Aig, Screen) {
         self.screen(
             sequential_diff_word_miter(self.golden, self.approx),
             WordKind::SignedDiff,
-            self.word_max(),
+            word_max(self.golden.num_outputs()),
         )
     }
 
-    /// One word query: the maximum of `miter`'s word (read as `kind`, at
-    /// most `max`) over the cycles `<= h` for every `h = 0..=k`, and the
-    /// effort behind it. The static screen runs first; then the
-    /// expansion route, which takes only feed-forward miters; then the
-    /// frame-major SAT search, whose witnesses `metric` replays.
+    /// One word query on the shared route: the maximum of `miter`'s word
+    /// (read as `kind`, at most `max`) over the cycles `<= h` for every
+    /// `h = 0..=k`; the SAT search's witnesses replay through `metric`.
     fn word_query(
         &self,
-        label: &str,
+        label: &'static str,
         miter: Aig,
         kind: WordKind,
         k: usize,
         max: u128,
         metric: impl Fn(&Trace) -> u128,
     ) -> Result<ErrorReport<Vec<u128>>, AnalysisError> {
-        let (miter, window) = match self
-            .screen(miter, kind, max)
-            .map_err(AnalysisError::Interrupted)?
-        {
-            Screen::Decided(value) => return Ok(static_report(vec![value; k + 1])),
-            Screen::Open { miter, window } => (miter, window),
-        };
-        let mut engine = ThresholdEngine::new(miter, kind, &self.options);
-        if let Some(profile) = self.bdd_profile(&engine, k, max, &self.options.ctl)? {
-            return Ok(bdd_report(profile));
+        let (miter, screen) = self.screen(miter, kind, max);
+        let miter = &miter;
+        let bdd = miter.sequential_depth().map(|depth| {
+            move |ctl: &ResourceCtl| self.expansion_maxima(miter, kind, depth, k, ctl)
+        });
+        WordQuery {
+            options: &self.options,
+            pair: (self.golden, self.approx),
+            label,
+            kind,
+            k,
+            max,
         }
-        let (values, sat_calls) = engine.search(label, k, max, window, metric)?;
-        Ok(ErrorReport {
-            value: values,
-            sat_calls,
-            conflicts: engine.conflicts(),
-            engine: EngineKind::Sat,
-        })
+        .run(Some(screen), bdd, || miter.clone(), metric)
     }
 
     /// The expansion route's order rule (see the module docs): interleave
@@ -305,58 +253,34 @@ impl<'a> SeqAnalyzer<'a> {
             .any(|&i| i as usize % n == n / 2)
     }
 
-    /// The expansion route of a feed-forward pair (see the module docs):
-    /// the maximum of `engine`'s word over the cycles `<= h` for every
-    /// `h = 0..=k`, from one BDD of its miter's `min(k, D) + 1`-frame
-    /// expansion. `Ok(None)` when the route does not apply (a latch cycle
-    /// in the cone, or a certified query) or the BDD blew its node
-    /// budget: the caller then runs the SAT search.
-    ///
-    /// # Errors
-    ///
-    /// [`AnalysisError::Interrupted`] over `[0, max]` when `ctl` fires:
-    /// that is the caller's own limit, so no SAT search follows.
-    fn bdd_profile(
+    /// The BDD stage this analyzer offers, the expansion route of a
+    /// feed-forward pair (see the module docs): the maximum of `miter`'s
+    /// word (of its magnitude, for a signed difference) in each of its
+    /// first `min(k, depth) + 1` cycles, from one BDD of that many frames
+    /// of its expansion.
+    fn expansion_maxima(
         &self,
-        engine: &ThresholdEngine,
+        miter: &Aig,
+        kind: WordKind,
+        depth: usize,
         k: usize,
-        max: u128,
         ctl: &ResourceCtl,
-    ) -> Result<Option<Vec<u128>>, AnalysisError> {
-        let Some(depth) = engine.depth else {
-            return Ok(None);
-        };
-        if self.options.certify {
-            return Ok(None);
-        }
-        let _span = axmc_obs::span("engine.bdd.time_us");
+    ) -> BddMaxima {
         let frames = depth.min(k) + 1;
         let interleave = self.interleaves_operands(depth + 1);
-        match engine.frame_maxima(frames, interleave, self.options.bdd_node_limit, ctl) {
-            Ok((maxima, nodes)) => {
-                axmc_obs::counter("engine.selected.bdd").inc();
-                axmc_obs::histogram("bdd.nodes").record(nodes as u64);
-                let mut profile: Vec<u128> = maxima
-                    .iter()
-                    .scan(0, |best, &value| {
-                        *best = value.max(*best);
-                        Some(*best)
-                    })
-                    .collect();
-                profile.resize(k + 1, profile[frames - 1]);
-                Ok(Some(profile))
-            }
-            Err(BuildBddError::SizeLimit { .. } | BuildBddError::WidthLimit { .. }) => {
-                axmc_obs::counter("engine.fallback").inc();
-                Ok(None)
-            }
-            Err(BuildBddError::Interrupted(reason)) => Err(AnalysisError::Interrupted(Partial {
-                reason: Some(reason),
-                known_low: 0,
-                known_high: max,
-                completed_bound: None,
-            })),
+        let mut miter = miter.clone();
+        if kind == WordKind::SignedDiff {
+            let abs = Word::from_lits(miter.outputs().to_vec()).abs(&mut miter);
+            miter.set_outputs(abs.into_lits());
         }
+        let expansion = miter.expand_frames(frames);
+        axmc_bdd::exact_word_max(
+            &expansion,
+            frames,
+            interleave,
+            self.options.bdd_node_limit,
+            ctl,
+        )
     }
 
     /// Finds the earliest cycle (up to `max_cycles - 1`) in which the two
@@ -376,38 +300,31 @@ impl<'a> SeqAnalyzer<'a> {
     pub fn earliest_error(&self, max_cycles: usize) -> Result<EarliestError, AnalysisError> {
         let miter = sequential_strict_miter(self.golden, self.approx);
         if self.options.backend == Backend::Static {
-            // No engine runs: the screen decides a strict miter it pins.
-            return match self.screen(miter, WordKind::Unsigned, 1) {
-                Ok(Screen::Decided(0)) => Ok(EarliestError {
-                    cycle: None,
-                    trace: None,
-                    sat_calls: 0,
-                }),
-                // The outputs differ in every reachable cycle, so in cycle
-                // 0 under any input.
-                Ok(Screen::Decided(_)) => Ok(EarliestError {
-                    cycle: Some(0),
-                    trace: Some(Trace {
-                        inputs: vec![vec![false; self.golden.num_inputs()]],
-                    }),
-                    sat_calls: 0,
-                }),
-                Ok(Screen::Open { .. }) => unreachable!("Backend::Static runs no engine"),
-                Err(partial) => Err(AnalysisError::Interrupted(Partial {
+            // No engine runs: only a strict miter the screen pins decides
+            // the query, and one that differs in every cycle errs at 0.
+            let (miter, screen) = self.screen(miter, WordKind::Unsigned, 1);
+            let kind = WordKind::Unsigned;
+            let verdict = route::probe(&self.options, Some(screen), || miter, kind, 0, 0)?;
+            if let Verdict::Interrupted { best_so_far } = verdict {
+                return Err(AnalysisError::Interrupted(Partial {
                     completed_bound: Some(0),
-                    ..partial
-                })),
-            };
+                    ..best_so_far
+                }));
+            }
+            let cycle = verdict.is_refuted().then_some(0);
+            let trace = verdict.witness();
+            return Ok(EarliestError {
+                cycle,
+                trace,
+                sat_calls: 0,
+            });
         }
         // Cycles past the sequential depth reach no new output values, so
         // an error that shows up at all shows up by then.
         let cycles = miter
             .sequential_depth()
             .map_or(max_cycles, |depth| max_cycles.min(depth + 1));
-        let mut bmc = Bmc::with_options(
-            &miter,
-            &BmcOptions::new().with_solver(self.options.solver_config()),
-        );
+        let mut bmc = Bmc::with_options(&miter, &self.options.solver_config());
         let mut sat_calls = 0;
         for k in 0..cycles {
             sat_calls += 1;
@@ -440,11 +357,8 @@ impl<'a> SeqAnalyzer<'a> {
     /// Replays a trace on both circuits and returns the maximum per-cycle
     /// absolute output difference.
     pub fn trace_error(&self, trace: &Trace) -> u128 {
-        let og = trace.replay(self.golden);
-        let oc = trace.replay(self.approx);
-        og.iter()
-            .zip(&oc)
-            .map(|(g, c)| bits_to_u128(g).abs_diff(bits_to_u128(c)))
+        self.replay(trace)
+            .map(|(g, c)| g.abs_diff(c))
             .max()
             .unwrap_or(0)
     }
@@ -452,13 +366,17 @@ impl<'a> SeqAnalyzer<'a> {
     /// Replays a trace on both circuits and returns the maximum per-cycle
     /// Hamming distance of the outputs.
     fn trace_bit_flips(&self, trace: &Trace) -> u128 {
-        let og = trace.replay(self.golden);
-        let oc = trace.replay(self.approx);
-        og.iter()
-            .zip(&oc)
-            .map(|(g, c)| (bits_to_u128(g) ^ bits_to_u128(c)).count_ones() as u128)
-            .max()
-            .unwrap_or(0)
+        let flips = |(g, c): (u128, u128)| (g ^ c).count_ones().into();
+        self.replay(trace).map(flips).max().unwrap_or(0)
+    }
+
+    /// The golden and approximate output words in each cycle of `trace`.
+    fn replay(&self, trace: &Trace) -> impl Iterator<Item = (u128, u128)> {
+        let golden = trace.replay(self.golden).into_iter();
+        let approx = trace.replay(self.approx).into_iter();
+        golden
+            .zip(approx)
+            .map(|(g, c)| (bits_to_u128(&g), bits_to_u128(&c)))
     }
 
     /// One threshold probe: can the error exceed `threshold` in any cycle
@@ -489,14 +407,16 @@ impl<'a> SeqAnalyzer<'a> {
                 Verdict::Interrupted { .. } => None,
                 done => Some(CachedResult::SeqVerdict(done.clone())),
             },
-            || match self.diff_screen() {
-                // No threshold can be exceeded by a zero word.
-                Ok(Screen::Decided(_)) => Ok(Verdict::Proved),
-                Ok(Screen::Open { miter, .. }) => {
-                    ThresholdEngine::new(miter, WordKind::SignedDiff, &self.options)
-                        .probe(threshold, k)
-                }
-                Err(best_so_far) => Ok(Verdict::Interrupted { best_so_far }),
+            || {
+                let (miter, screen) = self.diff_screen();
+                route::probe(
+                    &self.options,
+                    Some(screen),
+                    || miter,
+                    WordKind::SignedDiff,
+                    threshold,
+                    k,
+                )
             },
         )
     }
@@ -517,11 +437,7 @@ impl<'a> SeqAnalyzer<'a> {
     /// even where the screen would decide every probe (a zero word, or
     /// `Backend::Static`); it then unrolls the compacted miter.
     fn diff_engine(&self) -> ThresholdEngine {
-        let miter = match self.diff_screen() {
-            Ok(Screen::Open { miter, .. }) => miter,
-            _ => sequential_diff_word_miter(self.golden, self.approx).compact(),
-        };
-        ThresholdEngine::new(miter, WordKind::SignedDiff, &self.options)
+        ThresholdEngine::new(self.diff_screen().0, WordKind::SignedDiff, &self.options)
     }
 
     /// The precise worst-case error over all cycles `<= k`, via the
@@ -551,7 +467,7 @@ impl<'a> SeqAnalyzer<'a> {
                     sequential_diff_word_miter(self.golden, self.approx),
                     WordKind::SignedDiff,
                     k,
-                    self.word_max(),
+                    word_max(self.golden.num_outputs()),
                     |trace| self.trace_error(trace),
                 )?;
                 Ok(report.map(|values| values[k]))
@@ -614,7 +530,7 @@ impl<'a> SeqAnalyzer<'a> {
             sequential_diff_word_miter(self.golden, self.approx),
             WordKind::SignedDiff,
             k,
-            self.word_max(),
+            word_max(self.golden.num_outputs()),
             |trace| self.trace_error(trace),
         )?;
         Ok(ErrorProfile {
@@ -645,11 +561,11 @@ impl<'a> SeqAnalyzer<'a> {
         threshold: u128,
         options: &InductionOptions,
     ) -> Result<Verdict<Trace>, AnalysisError> {
-        let miter = match self.diff_screen() {
-            Ok(Screen::Decided(_)) => return Ok(Verdict::Proved),
-            Ok(Screen::Open { miter, .. }) => miter,
-            Err(best_so_far) => return Ok(Verdict::Interrupted { best_so_far }),
-        };
+        let (miter, screen) = self.diff_screen();
+        let window = screen.window;
+        if let Some(verdict) = screen.verdict(threshold, self.options.backend) {
+            return Ok(verdict);
+        }
         let mut options = options.clone();
         if let Some(deadline) = self.options.ctl.deadline() {
             options.ctl = options.ctl.with_deadline(deadline);
@@ -660,25 +576,26 @@ impl<'a> SeqAnalyzer<'a> {
             }
         }
         options.certify |= self.options.certify;
-        if !options.certify {
+        if let Some(depth) = miter.sequential_depth() {
             // Every cycle from the depth D on reaches the words of cycle
             // D, so the maximum over cycles 0..=D is the all-time worst
             // case. A bound below it falls through: k-induction refutes it
             // in its base case and returns the witness.
-            let engine = ThresholdEngine::new(miter, WordKind::SignedDiff, &self.options);
-            if let Some(depth) = engine.depth {
-                match self.bdd_profile(&engine, depth, u128::MAX, &options.ctl) {
-                    Ok(Some(profile)) if profile[depth] <= threshold => return Ok(Verdict::Proved),
-                    Ok(_) => {}
-                    Err(AnalysisError::Interrupted(partial)) => {
-                        return Ok(Verdict::Interrupted {
-                            best_so_far: Partial {
-                                completed_bound: Some(0),
-                                ..partial
-                            },
-                        })
-                    }
-                    Err(e) => return Err(e),
+            let stage = route::bdd_stage(options.certify, &options.ctl, window, |ctl| {
+                self.expansion_maxima(&miter, WordKind::SignedDiff, depth, depth, ctl)
+            });
+            match stage {
+                Ok(Some(maxima)) if maxima.iter().all(|&m| m <= threshold) => {
+                    return Ok(Verdict::Proved)
+                }
+                Ok(_) => {}
+                Err(partial) => {
+                    return Ok(Verdict::Interrupted {
+                        best_so_far: Partial {
+                            completed_bound: Some(0),
+                            ..partial
+                        },
+                    })
                 }
             }
         }
@@ -749,12 +666,7 @@ impl<'a> SeqAnalyzer<'a> {
     /// Replays a trace on both circuits and returns the **sum** of
     /// per-cycle absolute output differences.
     pub fn trace_total_error(&self, trace: &Trace) -> u128 {
-        let og = trace.replay(self.golden);
-        let oc = trace.replay(self.approx);
-        og.iter()
-            .zip(&oc)
-            .map(|(g, c)| bits_to_u128(g).abs_diff(bits_to_u128(c)))
-            .sum()
+        self.replay(trace).map(|(g, c)| g.abs_diff(c)).sum()
     }
 
     /// The exact maximum number of erroneous cycles (error above
@@ -787,16 +699,10 @@ impl<'a> SeqAnalyzer<'a> {
             WordKind::Unsigned,
             k,
             (k + 1) as u128,
+            // Count the erroneous cycles the witness actually shows.
             |trace| {
-                // Count the erroneous cycles the witness actually shows.
-                let og = trace.replay(self.golden);
-                let oc = trace.replay(self.approx);
-                og.iter()
-                    .zip(&oc)
-                    .filter(|(g, c)| {
-                        bits_to_u128(g).abs_diff(bits_to_u128(c)) > per_cycle_threshold
-                    })
-                    .count() as u128
+                let erroneous = |&(g, c): &(u128, u128)| g.abs_diff(c) > per_cycle_threshold;
+                self.replay(trace).filter(erroneous).count() as u128
             },
         )?;
         Ok(report.map(|values| values[k] as u32))
@@ -911,6 +817,7 @@ impl std::fmt::Debug for SeqProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineKind;
     use crate::report::ErrorGrowth;
     use axmc_circuit::{approx, generators};
     use axmc_cnf::gates;
@@ -964,19 +871,26 @@ mod tests {
     #[test]
     fn seq_static_tier_preserves_solver_verdicts() {
         // The reduced (swept) product machine and the seeded bit-flip
-        // window must not change any metric value.
+        // window must not change any metric value: each equals the
+        // maximum over every input sequence of the 4-bit accumulator.
         let golden = accumulator(&generators::ripple_carry_adder(4), 4);
         let apx = accumulator(&approx::truncated_adder(4, 2), 4);
-        let with_tier = SeqAnalyzer::new(&golden, &apx);
-        let without_tier = SeqAnalyzer::new(&golden, &apx)
-            .with_options(AnalysisOptions::new().with_static_tier(false));
+        let analyzer = SeqAnalyzer::new(&golden, &apx);
+        // A cycle's outputs depend only on the inputs up to it, so the
+        // prefixes of the 4-cycle runs are every run of k + 1 cycles.
+        let errors = every_run_words(&golden, &apx, 4, |g, c| g.abs_diff(c));
+        let flips = every_run_words(&golden, &apx, 4, |g, c| (g ^ c).count_ones().into());
+        let worst =
+            |runs: &[Vec<u128>], k: usize| runs.iter().flat_map(|r| &r[..=k]).max().copied();
         for k in [0usize, 1, 3] {
-            let a = with_tier.worst_case_error_at(k).unwrap();
-            let b = without_tier.worst_case_error_at(k).unwrap();
-            assert_eq!(a.value, b.value, "wce@{k}");
             assert_eq!(
-                with_tier.bit_flip_error_at(k).unwrap().value,
-                without_tier.bit_flip_error_at(k).unwrap().value,
+                Some(analyzer.worst_case_error_at(k).unwrap().value),
+                worst(&errors, k),
+                "wce@{k}"
+            );
+            assert_eq!(
+                Some(analyzer.bit_flip_error_at(k).unwrap().value.into()),
+                worst(&flips, k),
                 "bit_flip@{k}"
             );
         }
@@ -1211,8 +1125,13 @@ mod tests {
         }
     }
 
-    /// Per-cycle `|G - C|` of every input sequence of `cycles` cycles.
-    fn every_run_errors(golden: &Aig, apx: &Aig, cycles: usize) -> Vec<Vec<u128>> {
+    /// Per-cycle `word(G, C)` of every input sequence of `cycles` cycles.
+    fn every_run_words(
+        golden: &Aig,
+        apx: &Aig,
+        cycles: usize,
+        word: impl Fn(u128, u128) -> u128,
+    ) -> Vec<Vec<u128>> {
         let n = golden.num_inputs();
         (0..1u64 << (n * cycles))
             .map(|bits| {
@@ -1225,7 +1144,7 @@ mod tests {
                 let oc = trace.replay(apx);
                 og.iter()
                     .zip(&oc)
-                    .map(|(g, c)| bits_to_u128(g).abs_diff(bits_to_u128(c)))
+                    .map(|(g, c)| word(bits_to_u128(g), bits_to_u128(c)))
                     .collect()
             })
             .collect()
@@ -1265,12 +1184,11 @@ mod tests {
         let options = [
             ("default", AnalysisOptions::new()),
             ("certified", AnalysisOptions::new().with_certify(true)),
-            ("no tier", AnalysisOptions::new().with_static_tier(false)),
         ];
         for (name, golden, apx) in &pairs {
             // A cycle's outputs depend only on the inputs up to it, so the
             // prefixes of the 4-cycle runs are every run of k + 1 cycles.
-            let runs = every_run_errors(golden, apx, 4);
+            let runs = every_run_words(golden, apx, 4, |g, c| g.abs_diff(c));
             let acc_width = golden.num_outputs() + 4;
             for (tag, options) in &options {
                 let analyzer = SeqAnalyzer::new(golden, apx).with_options(options.clone());

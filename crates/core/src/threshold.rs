@@ -2,13 +2,13 @@
 //!
 //! Each metric asks the same question: can a per-cycle error word
 //! exceed `t` within `k` cycles? [`ThresholdEngine`] answers it on one
-//! warm BMC unrolling of the word miter: the sequential WCE, bit-flip,
-//! profile, total-error and error-cycle searches, the sequential probes
-//! and [`SeqProbe`](crate::SeqProbe) sessions, and, at horizon 0 over a
-//! latch-free miter, the combinational searches and probes. Frame 0 of a
-//! latch-free miter is exactly `encode_comb`'s CNF, with the same
-//! variable order, so a combinational search is the frame-major search
-//! at `k = 0`.
+//! warm BMC unrolling of the word miter, as the SAT stage of the shared
+//! route ([`crate::route`]): the sequential searches, probes and
+//! [`SeqProbe`](crate::SeqProbe) sessions, and, at horizon 0 over a
+//! latch-free miter, the combinational searches and probes, the MSB scan
+//! and the error-input count. Frame 0 of a latch-free miter is exactly
+//! `encode_comb`'s CNF, with the same variable order, so a combinational
+//! search is the frame-major search at `k = 0`.
 //!
 //! A probe asks the frames one at a time, first frame first, each under
 //! the single assumption `exceeds_f(t)`. A satisfiable frame ends the
@@ -23,14 +23,13 @@
 //! 15,460 together.
 //!
 //! The engine never sweeps: callers hand it the miter already compacted,
-//! and statically reduced when the static tier is on.
+//! and statically reduced when their screen ran.
 
 use crate::bound_search::{record_search, search_window};
 use crate::options::AnalysisOptions;
 use crate::report::{AnalysisError, Partial};
 use crate::verdict::Verdict;
-use axmc_aig::{Aig, Word};
-use axmc_bdd::BuildBddError;
+use axmc_aig::Aig;
 use axmc_cnf::gates;
 use axmc_mc::{Trace, Unroller};
 use axmc_sat::{Budget, Interrupt, Lit, ResourceCtl, SolveResult};
@@ -232,24 +231,19 @@ impl ThresholdEngine {
         self.unroller.solver().stats().conflicts
     }
 
-    /// The expansion route's BDD (see the `seq` module docs): the maximum
-    /// of the per-cycle word (of its magnitude, for a signed difference)
-    /// in each of the first `frames` cycles, from one BDD of the unrolled
-    /// miter's `frames`-frame expansion, and the peak node count.
-    pub(crate) fn frame_maxima(
-        &self,
-        frames: usize,
-        interleave: bool,
-        node_limit: usize,
-        ctl: &ResourceCtl,
-    ) -> Result<(Vec<u128>, usize), BuildBddError> {
-        let mut miter = self.unroller.aig().clone();
-        if let WordKind::SignedDiff = self.kind {
-            let abs = Word::from_lits(miter.outputs().to_vec()).abs(&mut miter);
-            miter.set_outputs(abs.into_lits());
-        }
-        let expansion = miter.expand_frames(frames);
-        axmc_bdd::exact_word_max(&expansion, frames, interleave, node_limit, ctl)
+    /// Excludes one assignment of the frame-0 inputs from every later
+    /// probe. `false` when the solver is left unsatisfiable at its root,
+    /// so no assignment remains.
+    pub(crate) fn block_inputs(&mut self, assignment: &[bool]) -> bool {
+        let clause: Vec<Lit> = self
+            .unroller
+            .frame(0)
+            .inputs
+            .iter()
+            .zip(assignment)
+            .map(|(&lit, &value)| if value { !lit } else { lit })
+            .collect();
+        self.unroller.solver_mut().add_clause(&clause)
     }
 
     /// The frame-major search (see the `seq` module docs): the exact

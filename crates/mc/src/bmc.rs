@@ -5,9 +5,9 @@
 //! k" is posed as an assumption, so earlier frames' learnt clauses are
 //! reused across bounds — the standard incremental BMC loop.
 
-use crate::{BmcOptions, CertificateRejected, Trace, Unroller};
+use crate::{CertificateRejected, Trace, Unroller};
 use axmc_aig::Aig;
-use axmc_sat::{Interrupt, ResourceCtl, SolveResult};
+use axmc_sat::{Interrupt, ResourceCtl, SolveResult, SolverConfig};
 
 /// Outcome of a bounded check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,30 +32,8 @@ impl BmcResult {
 }
 
 /// An incremental bounded model checker over a single-output sequential
-/// AIG (a miter: output 1 = property violated).
-///
-/// # Examples
-///
-/// ```
-/// use axmc_aig::Aig;
-/// use axmc_mc::{Bmc, BmcResult};
-///
-/// // A latch that can be set but never cleared; bad = latch high.
-/// let mut aig = Aig::new();
-/// let set = aig.add_input();
-/// let q = aig.add_latch(false);
-/// let nxt = aig.or(q, set);
-/// aig.set_latch_next(0, nxt);
-/// aig.add_output(q);
-///
-/// let mut bmc = Bmc::new(&aig);
-/// // In cycle 0 the latch still holds its reset value...
-/// assert_eq!(bmc.check_at(0)?, BmcResult::Clear);
-/// // ...but it can be high in cycle 1.
-/// let cex = bmc.check_at(1)?.cex().expect("reachable");
-/// assert_eq!(cex.inputs[0], vec![true]);
-/// # Ok::<(), axmc_mc::CertificateRejected>(())
-/// ```
+/// AIG (a miter: output 1 = property violated); the crate docs show one
+/// at work.
 #[derive(Debug)]
 pub struct Bmc<'a> {
     /// Kept for API compatibility (traces replay against it).
@@ -95,24 +73,45 @@ impl<'a> Bmc<'a> {
         }
     }
 
-    /// Creates a checker for `aig` configured by `options` (see
-    /// [`BmcOptions`]).
+    /// Creates a checker for `aig` whose solver runs under `config`.
+    /// Certification is the solver's proof-logging flag: while it is on,
+    /// every `Clear` verdict is validated by the forward RUP/DRAT checker
+    /// and every counterexample is replayed through AIG simulation.
     ///
     /// # Panics
     ///
     /// Panics if the AIG does not have exactly one output.
-    pub fn with_options(aig: &'a Aig, options: &BmcOptions) -> Self {
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use axmc_aig::Aig;
+    /// use axmc_mc::{Bmc, BmcResult};
+    /// use axmc_sat::{Budget, SolverConfig};
+    ///
+    /// let mut aig = Aig::new();
+    /// let q = aig.add_latch(false);
+    /// aig.set_latch_next(0, !q);
+    /// aig.add_output(q);
+    ///
+    /// let budget = Budget::unlimited().with_conflicts(100_000);
+    /// let config = SolverConfig::new().with_budget(budget).with_proof_logging(true);
+    /// let mut bmc = Bmc::with_options(&aig, &config);
+    /// assert!(bmc.certify());
+    /// assert!(matches!(bmc.check_at(1)?, BmcResult::Cex(_)));
+    /// # Ok::<(), axmc_mc::CertificateRejected>(())
+    /// ```
+    pub fn with_options(aig: &'a Aig, config: &SolverConfig) -> Self {
         let mut bmc = Bmc::new(aig);
-        bmc.configure(options);
+        bmc.configure(config);
         bmc
     }
 
-    /// Applies `options` — resource control, certification, and the rest
-    /// of the embedded [`SolverConfig`](axmc_sat::SolverConfig) — to the
-    /// underlying solver. The one documented way to reconfigure a live
-    /// checker.
-    pub fn configure(&mut self, options: &BmcOptions) {
-        self.unroller.configure(options.solver());
+    /// Applies `config` — resource control, certification (proof
+    /// logging) and inprocessing — to the underlying solver. The one
+    /// documented way to reconfigure a live checker.
+    pub fn configure(&mut self, config: &SolverConfig) {
+        self.unroller.configure(config);
     }
 
     /// Number of frames encoded so far.
@@ -372,7 +371,7 @@ mod tests {
         let aig = counter_reaches(7);
         let mut bmc = Bmc::new(&aig);
         bmc.configure(
-            &BmcOptions::new()
+            &SolverConfig::new()
                 .with_budget(Budget::unlimited().with_conflicts(0).with_propagations(1)),
         );
         // With a zero/one budget most queries return Unknown; we accept
@@ -386,7 +385,7 @@ mod tests {
         let aig = counter_reaches(7);
         let mut bmc = Bmc::new(&aig);
         bmc.configure(
-            &BmcOptions::new().with_ctl(ResourceCtl::unlimited().with_timeout(Duration::ZERO)),
+            &SolverConfig::new().with_ctl(ResourceCtl::unlimited().with_timeout(Duration::ZERO)),
         );
         assert_eq!(
             bmc.check_at(6).unwrap(),
@@ -401,7 +400,7 @@ mod tests {
         let mut bmc = Bmc::new(&aig);
         let token = CancelToken::new();
         token.cancel();
-        bmc.configure(&BmcOptions::new().with_ctl(ResourceCtl::unlimited().with_cancel(token)));
+        bmc.configure(&SolverConfig::new().with_ctl(ResourceCtl::unlimited().with_cancel(token)));
         assert_eq!(
             bmc.check_at(6).unwrap(),
             BmcResult::Unknown(Interrupt::Cancelled)
@@ -442,9 +441,9 @@ mod tests {
     #[test]
     fn options_configure_a_live_and_a_fresh_checker_identically() {
         let aig = counter_reaches(5);
-        let options = BmcOptions::new()
+        let options = SolverConfig::new()
             .with_ctl(ResourceCtl::unlimited())
-            .with_certify(true);
+            .with_proof_logging(true);
         let mut fresh = Bmc::with_options(&aig, &options);
         assert!(fresh.certify());
         assert_eq!(fresh.check_at(2).unwrap(), BmcResult::Clear);

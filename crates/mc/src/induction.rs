@@ -7,7 +7,7 @@
 //! simple-path constraints make the method complete for finite systems
 //! (at possibly large `k`).
 
-use crate::{Bmc, BmcOptions, BmcResult, CertificateRejected, Trace};
+use crate::{Bmc, BmcResult, CertificateRejected, Trace};
 use axmc_aig::Aig;
 use axmc_cnf::{assert_const_false, encode_frame};
 use axmc_sat::{Interrupt, Lit as SatLit, ResourceCtl, SolveResult, Solver, SolverConfig};
@@ -107,9 +107,9 @@ pub fn prove_invariant(
     );
     let mut base = Bmc::with_options(
         aig,
-        &BmcOptions::new()
+        &SolverConfig::new()
             .with_ctl(options.ctl.clone())
-            .with_certify(options.certify),
+            .with_proof_logging(options.certify),
     );
 
     let result = run_induction(aig, options, &mut base)?;

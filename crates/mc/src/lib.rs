@@ -29,11 +29,16 @@
 //! aig.add_output(q);
 //!
 //! let mut bmc = Bmc::new(&aig);
+//! // In cycle 0 the latch still holds its reset value...
 //! assert_eq!(bmc.check_at(0)?, BmcResult::Clear);
-//! assert!(matches!(bmc.check_at(1)?, BmcResult::Cex(_)));
+//! // ...but it can be high in cycle 1, once `set` was raised in cycle 0.
+//! let cex = bmc.check_at(1)?.cex().expect("reachable");
+//! assert_eq!(cex.inputs[0], vec![true]);
 //! # Ok::<(), axmc_mc::CertificateRejected>(())
 //! ```
 //!
+//! A checker is configured by one [`SolverConfig`](axmc_sat::SolverConfig)
+//! ([`Bmc::with_options`]); certification is its proof-logging flag.
 //! Every check runs under the solver's
 //! [`ResourceCtl`](axmc_sat::ResourceCtl): on a blown budget, an expired
 //! deadline or a raised cancellation token the engines return typed
@@ -47,7 +52,6 @@
 mod bmc;
 mod error;
 mod induction;
-pub mod options;
 mod reach;
 mod trace;
 mod unroll;
@@ -56,7 +60,6 @@ pub mod vcd;
 pub use crate::bmc::{Bmc, BmcResult};
 pub use crate::error::CertificateRejected;
 pub use crate::induction::{prove_invariant, InductionOptions, ProofResult};
-pub use crate::options::BmcOptions;
 pub use crate::reach::{explicit_reach, ReachResult};
 pub use crate::trace::Trace;
 pub use crate::unroll::Unroller;

@@ -6,8 +6,8 @@
 //! can be stamped onto a solver with
 //! [`Solver::configure`](crate::Solver::configure), captured back with
 //! [`Solver::current_config`](crate::Solver::current_config), and handed
-//! across layers (the model checker's `BmcOptions` and the analysis
-//! layer's `AnalysisOptions` both embed or produce one).
+//! across layers (the model checker's `Bmc::with_options` takes one, and
+//! the analysis layer's `AnalysisOptions` produces one).
 //!
 //! Start from `SolverConfig::new()` for a fresh policy, or from
 //! `solver.current_config()` to re-arm a single knob without disturbing

@@ -376,20 +376,34 @@ t3_values_gate() {
 }
 t3_values_gate
 
-# Benchmark known-answers gate: the benchmark's own tests, then one short
-# seq_bmc run. A run makes at least three whole passes, so every one of
-# its 144 sequential answers (earliest, WCE@k, BF@k at k = 4 and 6, and
-# the proofs) is checked against axbench/answers.tsv; the last line of
-# its output must report no failed query.
+# Benchmark known-answers and work-counter gate: the benchmark's own
+# tests, then one short traced seq_bmc run. A run makes at least three
+# whole passes, so every one of its 144 sequential answers (earliest,
+# WCE@k, BF@k at k = 4 and 6, and the proofs) is checked against
+# axbench/answers.tsv; the last line of its output must report no failed
+# query. Every search is serial and every BDD manager fresh, so the work
+# counters per pass are the same on every seed and every run; a change in
+# one means the solver, the unrolling, the expansion route or the routing
+# did different work.
 axbench_answers_gate() {
-    echo "== axbench answers gate =="
+    echo "== axbench answers and work-counter gate =="
     local last
     run cargo test --manifest-path axbench/Cargo.toml --offline -q
     last=$(cargo run --release --offline --manifest-path axbench/Cargo.toml -- \
-        --workload seq_bmc --seed 1 --seconds 1 --trace 0 | tail -n 1)
+        --workload seq_bmc --seed 1 --seconds 1 --trace 1 | tail -n 1)
     echo "$last"
-    grep -q '"failed":0' <<<"$last" \
-        || { echo "seq_bmc answered a query wrongly"; exit 1; }
+    for want in '"failed":0' \
+        '"sat.conflicts":{"value":43296,' \
+        '"sat.propagations":{"value":5002192,' \
+        '"sat.solves":{"value":920,' \
+        '"mc.frames_encoded":{"value":392,' \
+        '"bdd.nodes.created":{"value":352892,' \
+        '"core.searches":{"value":48,' \
+        '"engine.selected.bdd":{"value":54,' \
+        '"engine.fallback":{"value":0,'; do
+        grep -qF "$want" <<<"$last" \
+            || { echo "seq_bmc answers or work counters changed: want $want"; exit 1; }
+    done
 }
 axbench_answers_gate
 

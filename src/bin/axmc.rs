@@ -253,16 +253,17 @@ ENGINES:
                     uncertified WCE, bit-flip or --prove query on a
                     feed-forward pair is decided on the BDD of its
                     time-frame expansion (SAT when that blows its node
-                    budget). E is one of:
+                    budget or --query-timeout stops it). E is one of:
                       sat   CEGIS threshold search on the CDCL solver —
                             the paper's engine and the default
                       bdd   exact ROBDD characteristic-function engine;
-                            a node-budget blow-up degrades to SAT
+                            a node-budget blow-up or --query-timeout
+                            hands over to SAT, and --certify keeps the
+                            BDD out (SAT answers, its UNSATs checked)
                       auto  consult the static tier (ternary abstract
                             interpretation + concrete probing) first — a
                             decided query launches no solver — then run
-                            the BDD on the reduced miter, and SAT when
-                            the BDD blows its node budget
+                            bdd's schedule on the reduced miter
                       static  the static tier alone: certified interval
                             bounds with no solver at all; undecided
                             queries report their [lo, hi] interval

@@ -6,8 +6,8 @@
 //!
 //! * every static `Proved`/`Refuted` verdict agrees bit for bit with the
 //!   SAT backend, the BDD backend, and exhaustive simulation;
-//! * `Backend::Auto` with the static tier enabled returns byte-identical
-//!   metric values to the solver-only portfolio (tier disabled).
+//! * `Backend::Auto` returns byte-identical metric values to
+//!   `Backend::Bdd`, which is `Auto` without the static tier.
 //!
 //! The companion property tests (`--features proptest-tests`) establish
 //! the same guarantees over *random* circuits: the structural sweep is
@@ -32,10 +32,8 @@ fn library_pairs(width: usize) -> Vec<(String, axmc::aig::Aig, axmc::aig::Aig)> 
         .collect()
 }
 
-fn with_backend(backend: Backend, static_tier: bool) -> AnalysisOptions {
-    AnalysisOptions::new()
-        .with_backend(backend)
-        .with_static_tier(static_tier)
+fn with_backend(backend: Backend) -> AnalysisOptions {
+    AnalysisOptions::new().with_backend(backend)
 }
 
 #[test]
@@ -51,12 +49,12 @@ fn static_threshold_verdicts_cross_validate_against_both_solvers() {
                 truth + 1,
                 truth.saturating_mul(2) + 1,
             ];
-            let static_only = CombAnalyzer::new(&golden, &candidate)
-                .with_options(with_backend(Backend::Static, true));
-            let sat = CombAnalyzer::new(&golden, &candidate)
-                .with_options(with_backend(Backend::Sat, false));
-            let bdd = CombAnalyzer::new(&golden, &candidate)
-                .with_options(with_backend(Backend::Bdd, false));
+            let static_only =
+                CombAnalyzer::new(&golden, &candidate).with_options(with_backend(Backend::Static));
+            let sat =
+                CombAnalyzer::new(&golden, &candidate).with_options(with_backend(Backend::Sat));
+            let bdd =
+                CombAnalyzer::new(&golden, &candidate).with_options(with_backend(Backend::Bdd));
             for t in thresholds {
                 let verdict = static_only.check_error_exceeds(t).unwrap();
                 let sat_v = sat.check_error_exceeds(t).unwrap();
@@ -95,10 +93,10 @@ fn static_threshold_verdicts_cross_validate_against_both_solvers() {
 fn auto_with_static_tier_matches_solver_only_auto() {
     for width in [4usize, 6] {
         for (name, golden, candidate) in library_pairs(width) {
-            let tiered = CombAnalyzer::new(&golden, &candidate)
-                .with_options(with_backend(Backend::Auto, true));
-            let plain = CombAnalyzer::new(&golden, &candidate)
-                .with_options(with_backend(Backend::Auto, false));
+            let tiered =
+                CombAnalyzer::new(&golden, &candidate).with_options(with_backend(Backend::Auto));
+            let plain =
+                CombAnalyzer::new(&golden, &candidate).with_options(with_backend(Backend::Bdd));
             assert_eq!(
                 tiered.worst_case_error().unwrap().value,
                 plain.worst_case_error().unwrap().value,
@@ -118,8 +116,8 @@ fn static_interval_brackets_the_true_error_on_the_library() {
     for width in [4usize, 6, 8] {
         for (name, golden, candidate) in library_pairs(width) {
             let truth = exhaustive_stats(&golden, &candidate).wce;
-            let analyzer = CombAnalyzer::new(&golden, &candidate)
-                .with_options(with_backend(Backend::Static, true));
+            let analyzer =
+                CombAnalyzer::new(&golden, &candidate).with_options(with_backend(Backend::Static));
             match analyzer.worst_case_error() {
                 Ok(report) => {
                     assert_eq!(report.value, truth, "{name} w{width}: static value wrong");
@@ -150,7 +148,7 @@ fn identical_pairs_never_touch_a_solver_under_auto() {
         let golden = generators::ripple_carry_adder(width).to_aig();
         let copy = golden.clone();
         let report = CombAnalyzer::new(&golden, &copy)
-            .with_options(with_backend(Backend::Auto, true))
+            .with_options(with_backend(Backend::Auto))
             .worst_case_error()
             .unwrap();
         assert_eq!(report.value, 0);
@@ -196,7 +194,7 @@ fn static_backend_launches_no_engine_in_threshold_queries() {
     let msb = CombAnalyzer::new(&adder, &cheap)
         .most_significant_error_bit()
         .unwrap();
-    let options = with_backend(Backend::Static, true).with_jobs(1);
+    let options = with_backend(Backend::Static).with_jobs(1);
     axmc::obs::set_enabled(true);
     // Counters resolve against a thread-local registry inside the scope,
     // so tests running alongside cannot add to them.
